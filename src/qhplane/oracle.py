@@ -1,23 +1,35 @@
 """Finite-field interpolation oracle.
 
-Measures the generic dimension of a fat-point system directly: sample the
-base points at random over F_p, build the conditions-by-monomials matrix,
-and take corank - 1.  A point of multiplicity m contributes the m(m+1)/2
+Measures the generic dimension of a fat-point system directly: place the
+base points over F_p, build the conditions-by-monomials matrix, and take
+corank - 1.  A point of multiplicity m contributes the m(m+1)/2
 coefficient-vanishing conditions of total order < m on the polynomial
 shifted to that point; the rows are binomial-expansion coefficients, which
 are valid in any characteristic (Hasse-derivative conditions).
 
-By semicontinuity the generic dimension is the minimum over point choices,
-so we take the minimum over independent trials.  Working over a big prime
-field instead of the complex numbers can only inflate the measured
-dimension on pathological point choices, which the multi-trial minimum
-makes negligible at the sizes used here.
-"""
+Three general points are projectively equivalent to the coordinate points
+(0:0:1), (1:0:0) and (0:1:0), so the three largest multiplicities m0 >= m1
+>= m2 sit there.  Their conditions are monomial: x^a y^b z^c vanishes to
+order a + b at (0:0:1), b + c at (1:0:0) and a + c at (0:1:0).  They become
+column exclusions, and only the monomials with a + b >= m0, a <= d - m1 and
+b <= d - m2 get a column.  The remaining points are sampled at random in
+the chart z = 1 and give the only rows; with no point left to sample the
+count of kept columns is exact.  The `shift` of `measure_dim_mults` moves
+only the sampled points.
 
+The result is an upper bound on the dimension over the complex numbers:
+the rank at any particular choice of points, over F_p or over Q, is at most
+the generic rank, and the F_p rank of integer points is at most their rank
+over Q.  Fixing three points at the coordinate points is such a choice, so
+the bound still holds, with equality for general points.  By
+semicontinuity we take the minimum over independent trials, and stop as
+soon as a trial reaches max(-1, v), below which no trial can go.  Primes
+are limited to p <= 2^31 - 1 so that products of two residues fit in int64.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +52,11 @@ class OracleConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.prime > MERSENNE_31:
+            raise ValueError(
+                f"prime {self.prime} exceeds 2^31 - 1: int64 products of two "
+                "residues would overflow"
+            )
         if self.prime < 2 or not _is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 
@@ -72,40 +89,54 @@ def _binomials(n: int, p: int) -> np.ndarray:
 
 
 def condition_rows(
-    d: int, points: Sequence[tuple[int, int, int]], p: int
+    d: int,
+    points: Sequence[tuple[int, int, int]],
+    p: int,
+    monomials: Optional[Sequence[tuple[int, int]]] = None,
 ) -> np.ndarray:
     """Interpolation matrix for degree-d curves, one block of rows per point.
 
     points: (x, y, mult) in the affine chart z = 1.  Columns are indexed by
-    the monomials x^a y^b with a + b <= d.  The row for derivative order
-    (i, j), i + j < mult, at (px, py) has entry C(a,i) C(b,j) px^(a-i)
-    py^(b-j) in the (a, b) column: the x^i y^j coefficient of the monomial
-    shifted to the point.
+    `monomials`, pairs (a, b) standing for x^a y^b; None means every
+    monomial with a + b <= d, ordered by a then b.  The row for derivative
+    order (i, j), i + j < mult, at (px, py) has entry C(a,i) C(b,j)
+    px^(a-i) py^(b-j) in the (a, b) column: the x^i y^j coefficient of the
+    monomial shifted to the point.
     """
-    cols = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
-    col_index = {ab: idx for idx, ab in enumerate(cols)}
-    C = _binomials(d, p)
-    rows = []
+    if monomials is None:
+        monomials = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
+    A = np.array([a for a, _ in monomials], dtype=np.int64)
+    B = np.array([b for _, b in monomials], dtype=np.int64)
+    # Ct[i, a] = C(a, i); zero for i > a.
+    Ct = _binomials(d, p).T
+    a_minus_i = np.arange(d + 1)[None, :] - np.arange(d + 1)[:, None]
+    blocks = []
     for px, py, mult in points:
         if mult <= 0:
             continue
-        xpow = np.ones(d + 1, dtype=np.int64)
-        ypow = np.ones(d + 1, dtype=np.int64)
-        for k in range(1, d + 1):
-            xpow[k] = xpow[k - 1] * (px % p) % p
-            ypow[k] = ypow[k - 1] * (py % p) % p
-        for i in range(mult):
-            for j in range(mult - i):
-                row = np.zeros(len(cols), dtype=np.int64)
-                for (a, b), idx in col_index.items():
-                    if a >= i and b >= j:
-                        row[idx] = (
-                            C[a, i] * C[b, j] % p * xpow[a - i] % p * ypow[b - j] % p
-                        )
-                rows.append(row)
-    if not rows:
-        return np.zeros((0, len(cols)), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+        ii = np.array([i for i in range(mult) for _ in range(mult - i)])
+        jj = np.array([j for i in range(mult) for j in range(mult - i)])
+        X = _shifted_powers(Ct, a_minus_i, px % p, mult, p)
+        Y = _shifted_powers(Ct, a_minus_i, py % p, mult, p)
+        blocks.append(X[ii][:, A] * Y[jj][:, B] % p)
+    if not blocks:
+        return np.zeros((0, len(A)), dtype=np.int64)
+    return np.concatenate(blocks)
+
+
+def _shifted_powers(
+    Ct: np.ndarray, a_minus_i: np.ndarray, x: int, mult: int, p: int
+) -> np.ndarray:
+    """Table T[i, a] = C(a, i) x^(a-i) mod p for i < mult, a <= d; rows
+    i > d are zero."""
+    d = len(Ct) - 1
+    powers = np.ones(d + 1, dtype=np.int64)
+    for k in range(1, d + 1):
+        powers[k] = powers[k - 1] * x % p
+    table = np.zeros((mult, d + 1), dtype=np.int64)
+    k = min(mult, d + 1)
+    table[:k] = Ct[:k] * powers[np.maximum(a_minus_i[:k], 0)] % p
+    return table
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -118,21 +149,19 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     for col in range(cols):
         if rank == rows:
             break
-        pivot = None
-        for r in range(rank, rows):
-            if A[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+        nz = np.flatnonzero(A[rank:, col])
+        if not nz.size:
             continue
+        pivot = rank + int(nz[0])
         if pivot != rank:
             A[[rank, pivot]] = A[[pivot, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
-        below = A[rank + 1 :, col]
-        nz = below != 0
-        if nz.any():
-            factors = below[nz] * inv % p
-            A[rank + 1 :][nz] = (A[rank + 1 :][nz] - factors[:, None] * A[rank]) % p
+        # The swap moved a row with a zero in this column to `pivot`; every
+        # other nonzero row below keeps its index.
+        below = rank + nz[1:]
+        if below.size:
+            inv = pow(int(A[rank, col]), p - 2, p)
+            factors = A[below, col] * inv % p
+            A[below, col:] = (A[below, col:] - factors[:, None] * A[rank, col:]) % p
         rank += 1
     return rank
 
@@ -154,9 +183,13 @@ def measure_dim_mults(
     shift: tuple[int, int] = (0, 0),
 ) -> int:
     """Generic dimension of degree-d curves with the given multiplicities at
-    random points; min over cfg.trials independent point samples.
+    general points, measured as an upper bound.
 
-    shift translates every sample point by a fixed vector (used by the
+    The three largest multiplicities sit at the coordinate points and turn
+    into column exclusions; the rest sit at random points, and the result
+    is the minimum over cfg.trials independent samples.  The loop stops
+    early once a trial reaches max(-1, v), below which no trial can go.
+    shift translates every sampled point by a fixed vector (used by the
     translation-invariance check)."""
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
@@ -165,20 +198,34 @@ def measure_dim_mults(
     if cfg.prime <= d:
         raise ValueError(f"prime {cfg.prime} must exceed the degree {d}")
     p = cfg.prime
+    active = sorted((m for m in mults if m > 0), reverse=True)
+    m0, m1, m2 = (active + [0, 0, 0])[:3]
+    # (0:0:1) kills x^a y^b with a + b < m0, (1:0:0) those with
+    # b + c < m1 and (0:1:0) those with a + c < m2, where c = d - a - b.
+    kept = [
+        (a, b)
+        for a in range(d - m1 + 1)
+        for b in range(min(d - a, d - m2) + 1)
+        if a + b >= m0
+    ]
+    sampled = active[3:]
+    if not sampled or not kept:
+        return len(kept) - 1
     cols = (d + 1) * (d + 2) // 2
-    active = [m for m in mults if m > 0]
-    best = None
+    floor = max(-1, cols - 1 - sum(m * (m + 1) // 2 for m in active))
+    best = len(kept) - 1
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial, d, len(active)])
-        coords = rng.integers(0, p, size=(len(active), 2), dtype=np.int64)
+        coords = rng.integers(0, p, size=(len(sampled), 2), dtype=np.int64)
         points = [
             ((int(x) + shift[0]) % p, (int(y) + shift[1]) % p, m)
-            for (x, y), m in zip(coords, active)
+            for (x, y), m in zip(coords, sampled)
         ]
-        matrix = condition_rows(d, points, p)
-        dim = cols - rank_mod_p(matrix, p) - 1
-        best = dim if best is None else min(best, dim)
-    return best if best is not None else cols - 1
+        matrix = condition_rows(d, points, p, kept)
+        best = min(best, len(kept) - rank_mod_p(matrix, p) - 1)
+        if best == floor:
+            break
+    return best
 
 
 def measure_dim(

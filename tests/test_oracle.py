@@ -1,9 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhplane.core import L, expected_dim
+from qhplane import oracle
+from qhplane.cli import main
+from qhplane.core import L, expected_dim, trinomial_dim
 from qhplane.oracle import (
     DEFAULT_CONFIG,
     MERSENNE_31,
@@ -100,3 +104,171 @@ def test_oracle_at_most_expected_conditions(d, mults):
 def test_result_carries_config():
     res = measure_dim(L(3, 1, 2, 1))
     assert res.certificate["oracle"] == DEFAULT_CONFIG.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the vectorized matrix, the rank and the centred oracle
+# against plain references.
+# ---------------------------------------------------------------------------
+
+
+def reference_condition_rows(d, points, p):
+    """Entry-by-entry interpolation matrix over all monomials a + b <= d."""
+    cols = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
+    C = [[0] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
+        C[i][0] = 1
+        for j in range(1, i + 1):
+            C[i][j] = (C[i - 1][j - 1] + C[i - 1][j]) % p
+    rows = []
+    for px, py, mult in points:
+        if mult <= 0:
+            continue
+        xpow = [pow(px, k, p) for k in range(d + 1)]
+        ypow = [pow(py, k, p) for k in range(d + 1)]
+        for i in range(mult):
+            for j in range(mult - i):
+                rows.append([
+                    C[a][i] * C[b][j] % p * xpow[a - i] % p * ypow[b - j] % p
+                    if a >= i and b >= j else 0
+                    for a, b in cols
+                ])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(cols))
+
+
+def reference_rank(matrix, p):
+    """Row reduction on Python integers."""
+    A = [[int(v) % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(A[0]) if A else 0):
+        pivot = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][col], p - 2, p)
+        for r in range(len(A)):
+            if r != rank and A[r][col]:
+                f = A[r][col] * inv % p
+                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+def full_matrix_dim(d, mults, cfg):
+    """The oracle without coordinate points: every point sampled, every
+    column kept, min over all cfg.trials."""
+    p = cfg.prime
+    cols = (d + 1) * (d + 2) // 2
+    active = [m for m in mults if m > 0]
+    best = cols - 1
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, 1000 + trial, d, len(active)])
+        coords = rng.integers(0, p, size=(len(active), 2))
+        points = [(int(x), int(y), m) for (x, y), m in zip(coords, active)]
+        best = min(best, cols - rank_mod_p(condition_rows(d, points, p), p) - 1)
+    return best
+
+
+def test_condition_rows_matches_entrywise_reference():
+    p = 101
+    rng = np.random.default_rng(11)
+    for d in (0, 1, 4, 7):
+        mults = [d + 3, 1, 0, 2, d + 1]  # includes mult > d + 1 and a zero
+        coords = rng.integers(-500, 500, size=(len(mults), 2))
+        points = [(int(x), int(y), m) for (x, y), m in zip(coords, mults)]
+        ref = reference_condition_rows(d, points, p)
+        got = condition_rows(d, points, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+        cols = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
+        subset = cols[::3]
+        picked = condition_rows(d, points, p, subset)
+        assert np.array_equal(picked, ref[:, [cols.index(ab) for ab in subset]])
+
+
+def test_rank_mod_p_matches_reference():
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 101):
+        for _ in range(30):
+            rows, cols = rng.integers(1, 12, size=2)
+            r = int(rng.integers(0, min(rows, cols) + 1))
+            M = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols))
+            M[rng.integers(0, rows)] = 0
+            assert rank_mod_p(M % p, p) == reference_rank(M, p)
+
+
+def test_centred_oracle_matches_full_matrix_reference():
+    cfg = OracleConfig()
+    for d in range(1, 9):
+        for m in (1, 2, 3):
+            for m0 in range(0, d + 2, 2):
+                for n in range(0, 7):
+                    mults = [m0] + [m] * n
+                    assert measure_dim_mults(d, mults, cfg) == full_matrix_dim(
+                        d, mults, cfg
+                    ), (d, m0, n, m)
+    rng = random.Random(3)
+    for _ in range(60):
+        d = rng.randint(1, 10)
+        mults = [rng.randint(0, 5) for _ in range(rng.randint(0, 8))]
+        assert measure_dim_mults(d, mults, cfg) == full_matrix_dim(
+            d, mults, cfg
+        ), (d, mults)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    calls = []
+    original = oracle.rank_mod_p
+
+    def counted(matrix, p):
+        calls.append(matrix.shape)
+        return original(matrix, p)
+
+    monkeypatch.setattr(oracle, "rank_mod_p", counted)
+    return calls
+
+
+def test_non_special_cell_builds_one_matrix(rank_calls):
+    sys_ = L(10, 3, 8, 3)
+    dim, e, special = measure_speciality(sys_)
+    assert (dim, special) == (e, False)
+    assert len(rank_calls) == 1
+
+
+def test_special_cell_builds_every_trial(rank_calls):
+    cfg = OracleConfig(trials=4)
+    assert measure_speciality(L(6, 0, 5, 3), cfg) == (0, -1, True)
+    assert len(rank_calls) == cfg.trials
+
+
+def test_three_points_build_no_matrix(rank_calls):
+    for d in range(0, 9):
+        for m0, m1, m2 in ((0, 0, 0), (3, 1, 0), (2, 5, 4), (d, d, 1), (d + 1, 0, 2)):
+            mults = [m1, 0, m0, m2]  # order and zeros do not matter
+            expected = trinomial_dim(d, *sorted((m0, m1, m2), reverse=True))
+            assert measure_dim_mults(d, mults) == expected
+            assert trinomial_dim(d, m0, m1, m2) == expected
+    assert rank_calls == []
+
+
+def test_large_class_on_the_small_matrix(rank_calls):
+    # L(56,48,17,7) is a (-1)-class: e = 0.  The full matrix is 1652 x 1653;
+    # with three points at the coordinate points it is 420 x 421.
+    assert measure_dim(L(56, 48, 17, 7)).dim == 0
+    assert rank_calls == [(420, 421)]
+
+
+def test_rejects_prime_above_int64_safe_range():
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        OracleConfig(prime=4294967311)
+    # 2^61 - 1 is prime; trial division would take minutes
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        OracleConfig(prime=2**61 - 1)
+    assert OracleConfig(prime=MERSENNE_31).prime == MERSENNE_31
+
+
+def test_cli_rejects_prime_above_int64_safe_range(capsys):
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        main(["oracle", "6", "0", "5", "3", "--prime", "4294967311"])
+    assert "measured dim" not in capsys.readouterr().out
