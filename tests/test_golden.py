@@ -1,0 +1,127 @@
+"""Golden digests of the dimension pipeline's answers.
+
+Each box below is recomputed, serialised with compact `json.dumps` and
+hashed with sha256; the digests were recorded before the pipeline was
+consolidated, so any change to a dimension, a status, a certifier outcome
+or an enumeration row shows up here.  On a mismatch the message names the
+box and prints the histogram of one column (the status, where there is one).
+"""
+
+import hashlib
+import json
+from collections import Counter
+
+import pytest
+
+from qhplane import classifier, minus_one
+from qhplane.core import L
+from qhplane.degeneration import Certifier
+
+
+def _box(m_values):
+    for d in range(21):
+        for m0 in range(d + 2):
+            for n in range(21):
+                for m in m_values:
+                    yield d, m0, n, m
+
+
+def classifier_rows():
+    rows = []
+    for cell in _box(range(1, 6)):
+        r = classifier.dimension(L(*cell))
+        rows.append([*cell, r.dim, r.status.value])
+    return rows
+
+
+def certifier_rows():
+    cf = Certifier()
+    rows = []
+    for cell in _box(range(1, 4)):
+        cert = cf.certify(L(*cell))
+        rows.append([*cell, cert.outcome, cert.dim])
+    return rows
+
+
+def configuration_rows():
+    rows = []
+    for k in range(1, 18):
+        per_k = []
+        for c in minus_one.enumerate_configurations(k):
+            t = c.total
+            per_k.append([t.d, t.m0, t.n, t.m, c.delta, c.mu0, c.mu1, c.mu2, c.compound])
+        rows.append(per_k)
+    return rows
+
+
+def class_rows():
+    return [
+        [*c.system.as_tuple(), *(c.witness or (None, None)), c.family]
+        for c in minus_one.enumerate_qh_classes(150)
+    ]
+
+
+def hyperbola_rows():
+    return [
+        [m, [list(p) for p in minus_one.hyperbola_solutions(m)]]
+        for m in range(1, 301)
+    ]
+
+
+def _histogram_of(column):
+    # A str-Enum status prints as its value on every Python version.
+    return lambda rows: Counter(getattr(row[column], "value", row[column]) for row in rows)
+
+
+def _flat_histogram(rows):
+    return Counter(str(row[-1]) for per_k in rows for row in per_k)
+
+
+def _solution_count_histogram(rows):
+    return Counter(len(pairs) for _, pairs in rows)
+
+
+# name, rows, digest, histogram of the rows printed on a mismatch
+GOLDEN = [
+    (
+        "classifier d<=20 m<=5",
+        classifier_rows,
+        "c5bfb0430f1d8266de9a9a01a8974bd74290e303c0960bf57c8758c45779d4ef",
+        _histogram_of(5),
+    ),
+    (
+        "certifier d<=20 m<=3",
+        certifier_rows,
+        "31669f44ae67fe894c22298d2853f2fcaa4992867f855960376dba6882772134",
+        _histogram_of(4),
+    ),
+    (
+        "configurations m_max<=17",
+        configuration_rows,
+        "a3e76127e768cf2ef1c2626f9980919aeabecabc81883ae8dd723f4ac2537290",
+        _flat_histogram,
+    ),
+    (
+        "classes m<=150",
+        class_rows,
+        "043a343d7445181054825b8cbf0db2f72f9e52d89001c55c8af69919e7c2f911",
+        _histogram_of(6),
+    ),
+    (
+        "hyperbola m<=300",
+        hyperbola_rows,
+        "31429dd2cdc107deedff03de5671c5afcd84e9318039714d63e257f3bd6f68b5",
+        _solution_count_histogram,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, rows_of, digest, histogram", GOLDEN, ids=[g[0] for g in GOLDEN]
+)
+def test_golden_digest(name, rows_of, digest, histogram):
+    rows = rows_of()
+    got = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert got == digest, (
+        f"{name}: digest {got} != {digest}; histogram {dict(histogram(rows))}"
+    )
