@@ -7,9 +7,14 @@ form, and flags rows the enumeration finds that the reference tables lack.
 The published m <= 7 class table omits one m = 7 row, L(56, 48, 17, 7) with
 divisor pair (90, 1); acceptance criterion 1 (tests/test_acceptance.py)
 proves that row is a (-1)-class and a curve, and this script labels it so.
+Exits 1 if it flags any other row, 0 otherwise.
+
+Run from a source checkout as `PYTHONPATH=src python scripts/reproduce_tables.py`.
 """
 
 from __future__ import annotations
+
+import sys
 
 from qhplane import minus_one, tables
 
@@ -21,7 +26,8 @@ PENCIL_ROW_AT_E1 = ("1", "0", "2", "1")
 PROVED_OMISSION = ("56", "48", "17", "7")
 
 
-def classes_table() -> None:
+def classes_table() -> int:
+    """Print the class table; return the number of unexplained rows."""
     print("== (-1)-classes, m <= 7 ==")
     concrete = []
     for c in minus_one.enumerate_qh_classes(7):
@@ -33,6 +39,7 @@ def classes_table() -> None:
         PENCIL_ROW_AT_E1 if row[:4] == PENCIL_ROW else row[:4]
         for row in tables.QH1LIST_ROWS
     }
+    unexplained = 0
     for c in concrete:
         d, m0, n, m = c.system.as_tuple()
         key = (str(d), str(m0), str(n), str(m))
@@ -43,7 +50,9 @@ def classes_table() -> None:
             tag = "   <-- omitted by the published table (proved in criterion 1)"
         else:
             tag = "   <-- not in the reference table"
+            unexplained += 1
         print(f"  {d:3} {m0:3} {n:3} {m:2}  ({x} {y}){tag}")
+    return unexplained
 
 
 def configurations_table() -> None:
@@ -62,8 +71,11 @@ def special_table() -> None:
 
 
 if __name__ == "__main__":
-    classes_table()
+    unexplained = classes_table()
     print()
     configurations_table()
     print()
     special_table()
+    if unexplained:
+        print(f"\n{unexplained} row(s) not in the reference table", file=sys.stderr)
+    sys.exit(1 if unexplained else 0)

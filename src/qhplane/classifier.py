@@ -6,6 +6,9 @@ the tabulated one; every other system has the expected dimension.  For
 m >= 4 the same machinery returns a prediction: proved closed forms where
 they apply, otherwise the (-1)-curve fixed-part accounting, labelled
 Conjectural.
+
+`proved_base_case` is the one base-case dispatch (few points, the special
+table, large m0) shared by `dimension` and the degeneration certifier.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .core import (
     QuasiHomogeneousSystem,
     Status,
     expected_dim,
+    proved,
     virtual_dim,
 )
 from .cremona import dim_few_points, dim_large_m0
@@ -127,6 +131,23 @@ def lookup_special_table(
     return match
 
 
+def proved_base_case(L: QuasiHomogeneousSystem) -> Optional[DimensionResult]:
+    """The proved dimension of L from a base case, or None.
+
+    Tries, in order: few points (n <= 2 or m <= 1), the m <= 3 special
+    table, and the large-m0 closed forms (m0 >= d - m - 1)."""
+    d, m0, n, m = L.as_tuple()
+    if n <= 2 or m <= 1:
+        return dim_few_points(L)
+    if m <= 3:
+        match = lookup_special_table(L, with_decomposition=False)
+        if match is not None:
+            return proved(L, match.l, {"table": match.families, "v": match.v})
+    if m0 >= d - m - 1 or m0 > d or m > d:
+        return dim_large_m0(L)
+    return None
+
+
 def dimension(L: QuasiHomogeneousSystem) -> DimensionResult:
     """Generic dimension of L with the strongest available status.
 
@@ -134,42 +155,20 @@ def dimension(L: QuasiHomogeneousSystem) -> DimensionResult:
     everything else is non-special).  m >= 4: exact in the few-point and
     large-m0 regimes, otherwise a Conjectural value from the (-1)-curve
     fixed-part accounting."""
-    d, m0, n, m = L.as_tuple()
-    if n <= 2 or m <= 1:
-        return dim_few_points(L)
-    if m <= 3:
-        match = lookup_special_table(L)
-        if match is not None:
-            return DimensionResult(
-                dim=match.l,
-                status=Status.SPECIAL_PROVED,
-                certificate={
-                    "table": match.families,
-                    "v": match.v,
-                    "decomposition": match.decomposition.to_dict()
-                    if match.decomposition
-                    else None,
-                },
-            )
-        return DimensionResult(
-            dim=expected_dim(L),
-            status=Status.NON_SPECIAL_PROVED,
-            certificate={"theorem": "m<=3 complete classification"},
-        )
-    if m0 >= d - m - 1 or m0 > d or m > d:
-        return dim_large_m0(L)
+    base = proved_base_case(L)
+    if base is not None:
+        if "table" in base.certificate:
+            decomp = find_special_decomposition(L)
+            base.certificate["decomposition"] = decomp.to_dict() if decomp else None
+        return base
+    if L.m <= 3:
+        return proved(L, expected_dim(L), {"theorem": "m<=3 complete classification"})
     decomp = find_special_decomposition(L)
     if decomp is not None and decomp.residual_v > expected_dim(L):
         return DimensionResult(
-            dim=decomp.residual_v,
-            status=Status.CONJECTURAL,
-            certificate={"decomposition": decomp.to_dict()},
+            decomp.residual_v, Status.CONJECTURAL, {"decomposition": decomp.to_dict()}
         )
-    return DimensionResult(
-        dim=expected_dim(L),
-        status=Status.CONJECTURAL,
-        certificate={"decomposition": None},
-    )
+    return DimensionResult(expected_dim(L), Status.CONJECTURAL, {"decomposition": None})
 
 
 def is_special(L: QuasiHomogeneousSystem) -> tuple[bool, DimensionResult]:

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import classifier, degeneration, minus_one, oracle, tables
-from .core import L, expected_dim, invariants, virtual_dim
+from .core import L, invariants
 
 JSON_SCHEMA_VERSION = 1
 
@@ -169,7 +169,7 @@ def cmd_certify(args) -> int:
     if args.json:
         _emit_json(cert.to_dict())
     else:
-        print(f"{sys_}: {cert.outcome}" + (f" dim={cert.dim}" if cert.dim is not None else ""))
+        print(f"{sys_}: {cert.outcome.value}" + (f" dim={cert.dim}" if cert.dim is not None else ""))
         if args.trace:
             print(json.dumps(cert.tree, indent=2, default=str))
     return 0
@@ -284,7 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"qhplane: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 A system L(d, m0, n, m) is the family of plane curves of degree d with a
 point of multiplicity m0 at one general point p0 and multiplicity m at n
-further general points.  This module holds the system type, the virtual /
-expected dimension bookkeeping, the intersection pairing, and the two
-elementary dimension computations (simple base points, and up to three
-fat points via a lattice-point count) used as recursion base cases
-everywhere else.
+further general points.  This module holds the system type, the one status
+vocabulary shared by the classifier and the certifier, the virtual /
+expected dimension bookkeeping with the rule that turns a proved dimension
+into a proved status, the intersection pairing, and the two elementary
+dimension computations (simple base points, and up to three fat points via
+a lattice-point count) used as recursion base cases everywhere else.
 """
 
 from __future__ import annotations
@@ -21,10 +22,17 @@ MAX_INPUT = 10**6
 
 
 class Status(str, Enum):
+    """Proof status of a dimension (classifier) or outcome (certifier).
+
+    A str Enum, so members compare equal to their values; print and
+    serialise `.value`."""
+
     NON_SPECIAL_PROVED = "NonSpecialProved"
     SPECIAL_PROVED = "SpecialProved"
     CONJECTURAL = "Conjectural"
     ORACLE_MEASURED = "OracleMeasured"
+    EMPTY_PROVED = "EmptyProved"
+    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -93,18 +101,25 @@ class DimensionResult:
     status: Status
     certificate: Optional[dict] = field(default=None)
 
-    @property
-    def empty(self) -> bool:
-        return self.dim == -1
+
+def lattice_virtual_dim(d: int, m0: int, n: int, m: int) -> int:
+    """Virtual dimension of the class (d; m0, m^n); entries may be negative."""
+    return d * (d + 3) // 2 - m0 * (m0 + 1) // 2 - n * m * (m + 1) // 2
 
 
 def virtual_dim(L: QuasiHomogeneousSystem) -> int:
-    d, m0, n, m = L.as_tuple()
-    return d * (d + 3) // 2 - m0 * (m0 + 1) // 2 - n * m * (m + 1) // 2
+    return lattice_virtual_dim(L.d, L.m0, L.n, L.m)
 
 
 def expected_dim(L: QuasiHomogeneousSystem) -> int:
     return max(-1, virtual_dim(L))
+
+
+def proved(L: QuasiHomogeneousSystem, dim: int, certificate: dict) -> DimensionResult:
+    """A proved dimension of L, special exactly when it exceeds e."""
+    special = dim > expected_dim(L)
+    status = Status.SPECIAL_PROVED if special else Status.NON_SPECIAL_PROVED
+    return DimensionResult(dim, status, certificate)
 
 
 def invariants(L: QuasiHomogeneousSystem) -> SystemInvariants:

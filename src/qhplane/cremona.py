@@ -16,11 +16,9 @@ from dataclasses import dataclass, replace
 from .core import (
     DimensionResult,
     QuasiHomogeneousSystem,
-    Status,
-    expected_dim,
     multiplicity_one,
+    proved,
     trinomial_dim,
-    virtual_dim,
 )
 from .core import L as _L
 
@@ -36,7 +34,6 @@ class MultiplicitySequence:
 
     degree: int
     mults: tuple[int, ...]
-    from_empty_warning: bool = False
 
     @property
     def is_effective(self) -> bool:
@@ -61,12 +58,7 @@ def sequence_of(system: QuasiHomogeneousSystem) -> MultiplicitySequence:
 def quadratic_transform(
     s: MultiplicitySequence, i: int, j: int, k: int
 ) -> MultiplicitySequence:
-    """Transform based at the points indexed i, j, k.
-
-    Sets from_empty_warning when 2d < mi + mj + mk: every member of such a
-    system meets a conic through the three points negatively, so the system
-    is empty.
-    """
+    """Transform based at the points indexed i, j, k."""
     if len({i, j, k}) != 3:
         raise ValueError("base point indices must be distinct")
     for idx in (i, j, k):
@@ -78,11 +70,7 @@ def quadratic_transform(
     mults[i] = d - mj - mk
     mults[j] = d - mi - mk
     mults[k] = d - mi - mj
-    return MultiplicitySequence(
-        degree=2 * d - mi - mj - mk,
-        mults=tuple(mults),
-        from_empty_warning=2 * d < mi + mj + mk,
-    )
+    return MultiplicitySequence(degree=2 * d - mi - mj - mk, mults=tuple(mults))
 
 
 def reduces_to_line(
@@ -121,7 +109,8 @@ def reduces_to_line(
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for m0 >= d - m - 1.
+# Closed forms for m0 >= d - m - 1.  Each returns a proved dimension; the
+# status (special or not) follows from it by core.proved.
 # ---------------------------------------------------------------------------
 
 
@@ -135,9 +124,7 @@ def dim_few_points(L: QuasiHomogeneousSystem) -> DimensionResult:
         dim = multiplicity_one(trinomial_dim(d, m0, 0, 0), n)
     else:
         raise ValueError(f"{L} has more than two equal fat points")
-    e = expected_dim(L)
-    status = Status.SPECIAL_PROVED if dim > e else Status.NON_SPECIAL_PROVED
-    return DimensionResult(dim=dim, status=status, certificate={"base": "few-points"})
+    return proved(L, dim, {"base": "few-points"})
 
 
 def dim_m0_eq_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
@@ -154,14 +141,15 @@ def dim_m0_eq_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
     cert = {"base": "m0=d-m", "q": q, "mu": mu, "h": h, "eps": eps}
     if q >= h + 1:
         dim = d * (m + 1) - m * (m - 1) // 2 - n * m * (m + 1) // 2
-        return DimensionResult(dim, Status.NON_SPECIAL_PROVED, cert)
-    if q == h and eps == 1:
-        return DimensionResult(-1, Status.NON_SPECIAL_PROVED, cert)
-    if q == h and mu == m - 1:
-        return DimensionResult((m - 1) * (m + 2) // 2, Status.NON_SPECIAL_PROVED, cert)
-    if q == h:
-        return DimensionResult(mu * (mu + 3) // 2, Status.SPECIAL_PROVED, cert)
-    return DimensionResult(-1, Status.NON_SPECIAL_PROVED, cert)
+    elif q == h and eps == 1:
+        dim = -1
+    elif q == h and mu == m - 1:
+        dim = (m - 1) * (m + 2) // 2
+    elif q == h:
+        dim = mu * (mu + 3) // 2
+    else:
+        dim = -1
+    return proved(L, dim, cert)
 
 
 def dim_m0_eq_d_minus_m_minus_1(L: QuasiHomogeneousSystem) -> DimensionResult:
@@ -177,16 +165,11 @@ def dim_m0_eq_d_minus_m_minus_1(L: QuasiHomogeneousSystem) -> DimensionResult:
     cert = {"base": "m0=d-m-1", "q": q, "mu": mu, "h": h, "eps": eps}
     if q == h + 1 and mu == 0 and eps == 0 and (m - 1) * (m + 2) >= 4 * h:
         dim = (m - 1) * (m + 2) // 2 - 2 * h
-        special = dim > expected_dim(L)
-        status = Status.SPECIAL_PROVED if special else Status.NON_SPECIAL_PROVED
-        return DimensionResult(dim, status, cert)
-    if q == h and eps == 0 and 4 * q <= mu * (mu + 3):
+    elif q == h and eps == 0 and 4 * q <= mu * (mu + 3):
         dim = mu * (mu + 3) // 2 - 2 * q
-        special = dim > expected_dim(L)
-        status = Status.SPECIAL_PROVED if special else Status.NON_SPECIAL_PROVED
-        return DimensionResult(dim, status, cert)
-    dim = max(-1, d * (m + 2) - (n + 1) * m * (m + 1) // 2)
-    return DimensionResult(dim, Status.NON_SPECIAL_PROVED, cert)
+    else:
+        dim = max(-1, d * (m + 2) - (n + 1) * m * (m + 1) // 2)
+    return proved(L, dim, cert)
 
 
 def dim_m0_ge_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
@@ -199,7 +182,7 @@ def dim_m0_ge_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
     if n == 0 or m == 0:
         return dim_few_points(L)
     if m0 > d or m > d:
-        return DimensionResult(-1, Status.NON_SPECIAL_PROVED, {"base": "mult>deg"})
+        return proved(L, -1, {"base": "mult>deg"})
     if m0 < d - m:
         raise ValueError(f"{L} has m0 < d - m")
     if m0 == d - m:
@@ -211,36 +194,24 @@ def dim_m0_ge_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
     # m0 + m > d points, so splits off; iterated k times per line.
     rd, rm0, rm = d - k * n, m0 - k * n, m - k
     cert = {"base": "m0=d-m+k", "k": k, "residual": (rd, max(rm0, 0), n, max(rm, 0))}
-    if rd < 0:
-        return DimensionResult(-1, Status.NON_SPECIAL_PROVED, cert)
+    if rd < 0 or rm0 < 0:
+        # More line splittings were forced than the degree or p0 could
+        # absorb: the leftover multiplicities exceed the leftover degree.
+        return proved(L, -1, cert)
     if rm <= 0:
         # Residual has no conditions at the n points (m0 = d case included).
-        dim = trinomial_dim(rd, max(rm0, 0), 0, 0) if rm0 >= 0 else trinomial_dim(rd, 0, 0, 0)
-        if rm0 < 0:
-            # More line splittings were forced than p0 could absorb: the
-            # leftover multiplicities exceed the leftover degree.
-            dim = -1
-        special = dim > expected_dim(L)
-        status = Status.SPECIAL_PROVED if special else Status.NON_SPECIAL_PROVED
-        return DimensionResult(dim, status, cert)
-    if rm0 < 0:
-        return DimensionResult(-1, Status.NON_SPECIAL_PROVED, cert)
+        return proved(L, trinomial_dim(rd, rm0, 0, 0), cert)
     sub = dim_m0_ge_d_minus_m(_L(rd, rm0, n, rm))
-    dim = sub.dim
-    special = dim > expected_dim(L)
-    status = Status.SPECIAL_PROVED if special else Status.NON_SPECIAL_PROVED
     cert["residual_status"] = sub.status.value
-    return DimensionResult(dim, status, cert)
+    return proved(L, sub.dim, cert)
 
 
 def dim_large_m0(L: QuasiHomogeneousSystem) -> DimensionResult:
     """Dispatch for the whole m0 >= d - m - 1 regime."""
     d, m0, n, m = L.as_tuple()
-    if n == 0 or m == 0 or n <= 2 or m == 1:
+    if n <= 2 or m <= 1:
         return dim_few_points(L)
-    if m0 > d or m > d:
-        return DimensionResult(-1, Status.NON_SPECIAL_PROVED, {"base": "mult>deg"})
-    if m0 >= d - m:
+    if m0 >= d - m:  # includes m0 > d and m > d
         return dim_m0_ge_d_minus_m(L)
     if m0 == d - m - 1:
         return dim_m0_eq_d_minus_m_minus_1(L)

@@ -5,8 +5,9 @@ system on each piece; the limit dimension l0 is computable from the four
 subsystem dimensions and bounds the generic dimension from above by
 semicontinuity.  Whenever l0 equals the expected dimension, the system is
 proved non-special (empty if v <= -1).  The certifier recurses on the
-subsystems, with the closed forms of the large-m0 theory and the
-(-1)-special table as base cases, and memoizes by canonical system tuple.
+subsystems, with the classifier's proved base cases (few points, the
+(-1)-special table, the closed forms of the large-m0 theory) as leaves,
+and memoizes by canonical system tuple.  Outcomes use core.Status.
 """
 
 from __future__ import annotations
@@ -16,25 +17,19 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (
-    QuasiHomogeneousSystem,
-    expected_dim,
-    virtual_dim,
-)
+from . import classifier
+from .core import QuasiHomogeneousSystem, Status, expected_dim, virtual_dim
 from .core import L as _L
-from .cremona import dim_few_points, dim_large_m0
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when the certifier's node budget is exhausted."""
 
 
-EMPTY_PROVED = "EmptyProved"
-NON_SPECIAL_PROVED = "NonSpecialProved"
-INCONCLUSIVE = "Inconclusive"
-
 CACHE_VERSION = 1
 CACHE_ENV_VAR = "QHPLANE_CACHE"
+#: fallback (k, b) splits tried per node after the paper-guided ones
+MAX_SPLITS_PER_NODE = 400
 
 
 @dataclass(frozen=True)
@@ -108,27 +103,18 @@ def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> in
 @dataclass
 class Certificate:
     system: QuasiHomogeneousSystem
-    outcome: str  # EmptyProved | NonSpecialProved | Inconclusive
+    outcome: Status  # EMPTY_PROVED | NON_SPECIAL_PROVED | INCONCLUSIVE
     dim: Optional[int]  # proven generic dimension when available
     tree: dict = field(default_factory=dict)
 
-    @property
-    def proved(self) -> bool:
-        return self.outcome in (EMPTY_PROVED, NON_SPECIAL_PROVED)
-
     def to_dict(self) -> dict:
-        return {
-            "system": self.system.as_tuple(),
-            "outcome": self.outcome,
-            "dim": self.dim,
-            "tree": self.tree,
-        }
+        return {**_summary(self), "tree": self.tree}
 
 
 def _summary(cert: Certificate) -> dict:
     return {
         "system": cert.system.as_tuple(),
-        "outcome": cert.outcome,
+        "outcome": cert.outcome.value,
         "dim": cert.dim,
     }
 
@@ -140,15 +126,19 @@ class Certifier:
     lifetime; the memo persists across calls and can be saved to / loaded
     from a JSON cache file."""
 
-    def __init__(self, budget: int = 100_000, max_splits_per_node: int = 400):
+    def __init__(self, budget: int = 100_000):
         self.budget = budget
-        self.max_splits_per_node = max_splits_per_node
         self.nodes = 0
         self.memo: dict[tuple, Certificate] = {}
 
     # -- cache persistence --------------------------------------------------
 
     def load_cache(self, path: str) -> int:
+        """Load the memo entries of a cache file; returns how many were new.
+
+        Raises ValueError, naming the file and the key, on an entry whose
+        outcome is not a certifier outcome or whose dim contradicts it.
+        The entries carry no proof: a consistent entry is trusted."""
         if not os.path.exists(path):
             return 0
         with open(path) as fh:
@@ -157,21 +147,19 @@ class Certifier:
             return 0
         loaded = 0
         for key, entry in data.get("entries", {}).items():
-            tup = tuple(int(x) for x in key.split(","))
-            if tup in self.memo:
-                continue
-            self.memo[tup] = Certificate(
-                system=_L(*tup),
-                outcome=entry["outcome"],
-                dim=entry["dim"],
-                tree={"cached": True},
-            )
-            loaded += 1
+            try:
+                tup = tuple(int(x) for x in key.split(","))
+                cert = _cached_certificate(_L(*tup), entry)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
+            if tup not in self.memo:
+                self.memo[tup] = cert
+                loaded += 1
         return loaded
 
     def save_cache(self, path: str) -> None:
         entries = {
-            ",".join(map(str, key)): {"outcome": c.outcome, "dim": c.dim}
+            ",".join(map(str, key)): {"outcome": c.outcome.value, "dim": c.dim}
             for key, c in self.memo.items()
         }
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -198,37 +186,20 @@ class Certifier:
     ) -> Certificate:
         e = expected_dim(L)
         if dim == -1:
-            outcome = EMPTY_PROVED
+            outcome = Status.EMPTY_PROVED
         elif dim == e:
-            outcome = NON_SPECIAL_PROVED
+            outcome = Status.NON_SPECIAL_PROVED
         else:
             # A proven dimension above e: the system is special, which the
             # certifier does not certify; the dimension stays usable by
             # callers needing subsystem dimensions.
-            outcome = INCONCLUSIVE
+            outcome = Status.INCONCLUSIVE
         return Certificate(system=L, outcome=outcome, dim=dim, tree=via)
 
     def _certify_uncached(self, L: QuasiHomogeneousSystem) -> Certificate:
-        d, m0, n, m = L.as_tuple()
-        if n <= 2 or m <= 1:
-            res = dim_few_points(L)
-            return self._finish(L, res.dim, {"base": "few-points"})
-        if m0 > d or m > d or m0 >= d - m - 1:
-            res = dim_large_m0(L)
-            return self._finish(L, res.dim, {"base": res.certificate.get("base")})
-        if m <= 3:
-            from .classifier import lookup_special_table
-
-            match = lookup_special_table(L, with_decomposition=False)
-            if match is not None:
-                # Special: no emptiness/non-speciality proof exists, but the
-                # tabulated dimension is proven and reusable in recursion.
-                return Certificate(
-                    system=L,
-                    outcome=INCONCLUSIVE,
-                    dim=match.l,
-                    tree={"base": "special-table", "families": match.families},
-                )
+        base = classifier.proved_base_case(L)
+        if base is not None:
+            return self._finish(L, base.dim, base.certificate)
         e = expected_dim(L)
         attempts = []
         for params in self._candidate_params(L):
@@ -266,7 +237,7 @@ class Certifier:
                     },
                 )
         return Certificate(
-            system=L, outcome=INCONCLUSIVE, dim=None, tree={"attempts": attempts}
+            system=L, outcome=Status.INCONCLUSIVE, dim=None, tree={"attempts": attempts}
         )
 
     def _candidate_params(self, L: QuasiHomogeneousSystem):
@@ -301,18 +272,39 @@ class Certifier:
             ((k, b) for k in range(1, d) for b in range(1, n)),
             key=lambda kb: (kb[0] * abs(2 * kb[1] - d), kb[0], kb[1]),
         )
-        for k, b in fallback[: self.max_splits_per_node]:
+        for k, b in fallback[:MAX_SPLITS_PER_NODE]:
             yield from emit(k, b)
+
+
+def _cached_certificate(L: QuasiHomogeneousSystem, entry: dict) -> Certificate:
+    """The certificate a cache entry claims for L.
+
+    Raises ValueError when the outcome is not a certifier outcome or the
+    dim contradicts it: EmptyProved needs -1, NonSpecialProved needs e,
+    Inconclusive needs None or a dim above e."""
+    outcome, dim = Status(entry["outcome"]), entry["dim"]
+    if dim is None:
+        consistent = outcome == Status.INCONCLUSIVE
+    elif type(dim) is not int:
+        consistent = False
+    elif outcome == Status.EMPTY_PROVED:
+        consistent = dim == -1
+    elif outcome == Status.NON_SPECIAL_PROVED:
+        consistent = dim == expected_dim(L)
+    else:
+        consistent = outcome == Status.INCONCLUSIVE and dim > expected_dim(L)
+    if not consistent:
+        raise ValueError(f"outcome {outcome.value} contradicts dim {dim!r}")
+    return Certificate(system=L, outcome=outcome, dim=dim, tree={"cached": True})
 
 
 def certify(
     L: QuasiHomogeneousSystem,
     budget: int = 100_000,
     cache_path: Optional[str] = None,
-    certifier: Optional[Certifier] = None,
 ) -> Certificate:
     """One-shot certification; see Certifier for the long-lived form."""
-    c = certifier or Certifier(budget=budget)
+    c = Certifier(budget=budget)
     if cache_path:
         c.load_cache(cache_path)
     cert = c.certify(L)

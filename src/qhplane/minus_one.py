@@ -17,9 +17,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .core import QuasiHomogeneousSystem, invariants, virtual_dim
+from .core import (
+    QuasiHomogeneousSystem,
+    intersect,
+    invariants,
+    lattice_virtual_dim,
+    virtual_dim,
+)
 from .core import L as _L
-from .cremona import MultiplicitySequence, reduces_to_line
+from .cremona import MultiplicitySequence, reduces_to_line, sequence_of
 
 DEFAULT_E_MAX = 50
 
@@ -30,16 +36,6 @@ class MinusOneClass:
     family: str  # "Line" | "Conic5" | "LinePencil" | "Hyperbola"
     witness: Optional[tuple[int, int]] = None  # (x, y) for the Hyperbola family
     e: Optional[int] = None  # parameter of the LinePencil family
-
-    @property
-    def uv(self) -> Optional[tuple[int, int]]:
-        d, _, n, m = self.system.as_tuple()
-        return (4 * d - n * m, 2 * d - n * m)
-
-    def to_row(self) -> dict:
-        d, m0, n, m = self.system.as_tuple()
-        x, y = self.witness if self.witness else (None, None)
-        return {"d": d, "m0": m0, "n": n, "m": m, "x": x, "y": y, "family": self.family}
 
 
 @dataclass(frozen=True)
@@ -90,22 +86,6 @@ class MinusOneConfiguration:
             self.delta, (self.mu0, self.mu1) + (self.mu2,) * (self.n - 1)
         )
 
-    def member_intersection(self, L: QuasiHomogeneousSystem) -> int:
-        """L . A for any single orbit member A (all members give the same
-        number when L is quasi-homogeneous on the same n points)."""
-        assert L.n == self.n
-        return L.d * self.delta - L.m0 * self.mu0 - L.m * (
-            self.mu1 + (self.n - 1) * self.mu2
-        )
-
-    def to_row(self) -> dict:
-        t = self.total
-        return {
-            "d": t.d, "m0": t.m0, "n": t.n, "m": t.m,
-            "delta": self.delta, "mu0": self.mu0, "mu1": self.mu1, "mu2": self.mu2,
-            "compound": self.compound,
-        }
-
 
 def _is_minus_one_class(L: QuasiHomogeneousSystem) -> bool:
     inv = invariants(L)
@@ -114,20 +94,21 @@ def _is_minus_one_class(L: QuasiHomogeneousSystem) -> bool:
 
 def hyperbola_solutions(m: int) -> list[tuple[int, int]]:
     """Factorizations x*y = (m-1)(2m+1) giving a (-1)-class for this m:
-    x + m >= y, x - y = m (mod 2), and m | x + 2y - 1."""
+    x + m >= y, x - y = m (mod 2), and m | x + 2y - 1.  Ascending in x."""
     target = (m - 1) * (2 * m + 1)
+    low, high = [], []  # divisors up to and above sqrt(target)
+    x = 1
+    while x * x <= target:
+        if target % x == 0:
+            low.append(x)
+            if x * x != target:
+                high.append(target // x)
+        x += 1
     out = []
-    for x in range(1, target + 1):
-        if target % x:
-            continue
+    for x in low + high[::-1]:
         y = target // x
-        if x + m < y:
-            continue
-        if (x - y - m) % 2:
-            continue
-        if (x + 2 * y - 1) % m:
-            continue
-        out.append((x, y))
+        if x + m >= y and (x - y - m) % 2 == 0 and (x + 2 * y - 1) % m == 0:
+            out.append((x, y))
     return out
 
 
@@ -183,25 +164,41 @@ def homogeneous_form(L: QuasiHomogeneousSystem) -> Optional[QuasiHomogeneousSyst
     return None
 
 
+def _minus_one_curves(delta: int):
+    """The (mu0, mu1, mu2, n) with mu2 >= 1, |mu1 - mu2| = 1 and n >= 2 for
+    which (delta; mu0, mu1, mu2^(n-1)) is a (-1)-class of genus zero.
+
+    Disjointness of the orbit members pins n: delta^2 - mu0^2 - 2 mu1 mu2
+    = (n - 2) mu2^2."""
+    for mu0 in range(0, delta + 1):
+        for mu2 in range(1, delta + 1):
+            for mu1 in (mu2 - 1, mu2 + 1):
+                num = delta**2 - mu0**2 - 2 * mu1 * mu2
+                if mu1 < 0 or num % mu2**2:
+                    continue
+                n = num // mu2**2 + 2
+                if n < 2:
+                    continue
+                # self-intersection -1 ...
+                if delta**2 - mu0**2 - mu1**2 - (n - 1) * mu2**2 != -1:
+                    continue
+                # ... and genus zero.
+                if 3 * delta - mu0 - mu1 - (n - 1) * mu2 != 1:
+                    continue
+                yield mu0, mu1, mu2, n
+
+
 def enumerate_configurations(
     m_max: int,
     delta_max: Optional[int] = None,
     e_max: int = DEFAULT_E_MAX,
-    require_irreducible_member: bool = True,
 ) -> list[MinusOneConfiguration]:
-    return list(
-        _enumerate_configurations_cached(
-            m_max, delta_max, e_max, require_irreducible_member
-        )
-    )
+    return list(_enumerate_configurations_cached(m_max, delta_max, e_max))
 
 
 @lru_cache(maxsize=256)
 def _enumerate_configurations_cached(
-    m_max: int,
-    delta_max: Optional[int],
-    e_max: int,
-    require_irreducible_member: bool,
+    m_max: int, delta_max: Optional[int], e_max: int
 ) -> tuple[MinusOneConfiguration, ...]:
     """Quasi-homogeneous (-1)-configurations with total multiplicity
     m = mu1 + (n-1) mu2 <= m_max.
@@ -227,32 +224,13 @@ def _enumerate_configurations_cached(
     # The lines-through-p0 family (delta, mu0, mu1, mu2) = (1, 1, 1, 0).
     found += [MinusOneConfiguration(1, 1, 1, 0, n=e) for e in range(2, e_max + 1)]
     for delta in range(1, delta_max + 1):
-        for mu0 in range(0, delta + 1):
-            for mu2 in range(1, delta + 1):
-                for mu1 in (mu2 - 1, mu2 + 1):
-                    if mu1 < 0:
-                        continue
-                    num = delta**2 - mu0**2 - 2 * mu1 * mu2
-                    if num % mu2**2:
-                        continue
-                    n = num // mu2**2 + 2
-                    if n < 2:
-                        continue
-                    cfg = MinusOneConfiguration(delta, mu0, mu1, mu2, n)
-                    # member is a (-1)-class ...
-                    if delta**2 - mu0**2 - mu1**2 - (n - 1) * mu2**2 != -1:
-                        continue
-                    # ... of genus zero ...
-                    if 3 * delta - mu0 - mu1 - (n - 1) * mu2 != 1:
-                        continue
-                    if cfg.total.m > m_max:
-                        continue
-                    # ... and an actual curve.
-                    if require_irreducible_member:
-                        ok, _ = reduces_to_line(cfg.member_sequence())
-                        if not ok:
-                            continue
-                    found.append(cfg)
+        for mu0, mu1, mu2, n in _minus_one_curves(delta):
+            if mu1 + (n - 1) * mu2 > m_max:
+                continue
+            cfg = MinusOneConfiguration(delta, mu0, mu1, mu2, n)
+            # The member must be an actual curve.
+            if reduces_to_line(cfg.member_sequence())[0]:
+                found.append(cfg)
     # The same orbit can arise with the mu1 / mu2 roles swapped (n = 2);
     # keep one representative per member-multiplicity multiset.
     seen: set = set()
@@ -274,29 +252,17 @@ def _enumerate_configurations_cached(
 
 
 @lru_cache(maxsize=256)
-def _auto_delta_max(m_max: int, quiet_run: int = 3) -> int:
-    """Smallest search bound such that no new solution appears for
-    `quiet_run` consecutive values of delta."""
+def _auto_delta_max(m_max: int) -> int:
+    """Smallest search bound such that no new solution appears for three
+    consecutive values of delta."""
     delta = 0
     quiet = 0
-    while quiet < quiet_run:
+    while quiet < 3:
         delta += 1
-        hit = False
-        for mu0 in range(0, delta + 1):
-            for mu2 in range(1, delta + 1):
-                for mu1 in (mu2 - 1, mu2 + 1):
-                    num = delta**2 - mu0**2 - 2 * mu1 * mu2
-                    if mu1 < 0 or num % mu2**2:
-                        continue
-                    n = num // mu2**2 + 2
-                    if n < 2:
-                        continue
-                    if delta**2 - mu0**2 - mu1**2 - (n - 1) * mu2**2 != -1:
-                        continue
-                    if 3 * delta - mu0 - mu1 - (n - 1) * mu2 != 1:
-                        continue
-                    if mu1 + (n - 1) * mu2 <= m_max:
-                        hit = True
+        hit = any(
+            mu1 + (n - 1) * mu2 <= m_max
+            for _, mu1, mu2, n in _minus_one_curves(delta)
+        )
         quiet = 0 if hit else quiet + 1
     return delta
 
@@ -309,8 +275,7 @@ def is_irreducible_class(c: MinusOneClass) -> tuple[bool, dict]:
     the trace names an irreducible class met negatively, if one exists."""
     if not _is_minus_one_class(c.system):
         raise ValueError(f"{c.system} is not a (-1)-class")
-    seq = MultiplicitySequence(c.system.d, tuple(c.system.multiplicities()))
-    ok, trace = reduces_to_line(seq)
+    ok, trace = reduces_to_line(sequence_of(c.system))
     cert: dict = {"trace": trace}
     if not ok:
         blocker = _blocking_class(c.system)
@@ -324,24 +289,15 @@ def _blocking_class(L: QuasiHomogeneousSystem) -> Optional[dict]:
         o = other.system
         if o.n != L.n or o.as_tuple() == L.as_tuple():
             continue
-        pairing = L.d * o.d - L.m0 * o.m0 - L.n * L.m * o.m
-        if pairing < 0:
-            ok, _ = reduces_to_line(
-                MultiplicitySequence(o.d, tuple(o.multiplicities()))
-            )
-            if ok:
-                residual = (L.d - o.d, L.m0 - o.m0, L.n, L.m - o.m)
-                res_v = (
-                    residual[0] * (residual[0] + 3) // 2
-                    - residual[1] * (residual[1] + 1) // 2
-                    - residual[2] * residual[3] * (residual[3] + 1) // 2
-                )
-                return {
-                    "class": o.as_tuple(),
-                    "intersection": pairing,
-                    "residual": residual,
-                    "residual_v": res_v,
-                }
+        pairing = intersect(L, o, L.n)
+        if pairing < 0 and reduces_to_line(sequence_of(o))[0]:
+            residual = (L.d - o.d, L.m0 - o.m0, L.n, L.m - o.m)
+            return {
+                "class": o.as_tuple(),
+                "intersection": pairing,
+                "residual": residual,
+                "residual_v": lattice_virtual_dim(*residual),
+            }
     return None
 
 
@@ -389,10 +345,6 @@ class SpecialDecomposition:
         }
 
 
-def _lattice_v(d: int, m0: int, n: int, m: int) -> int:
-    return d * (d + 3) // 2 - m0 * (m0 + 1) // 2 - n * m * (m + 1) // 2
-
-
 def candidates_for(L: QuasiHomogeneousSystem, e_max: int = DEFAULT_E_MAX) -> list[_Candidate]:
     """The (-1)-curve orbits on exactly the n points of L: irreducible
     quasi-homogeneous classes with the same n, plus configuration orbits of
@@ -409,8 +361,7 @@ def _candidates_cached(n: int, m: int, e_max: int) -> tuple[_Candidate, ...]:
         s = c.system
         if s.n != n:
             continue
-        ok, _ = reduces_to_line(MultiplicitySequence(s.d, tuple(s.multiplicities())))
-        if not ok:
+        if not reduces_to_line(sequence_of(s))[0]:
             continue
         out.append(
             _Candidate(
@@ -453,14 +404,11 @@ def _pairwise_disjoint(fixed: list[tuple[_Candidate, int]], n: int) -> bool:
     return True
 
 
-def find_special_decomposition(
-    L: QuasiHomogeneousSystem, classes: Optional[list[_Candidate]] = None
-) -> Optional[SpecialDecomposition]:
+def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDecomposition]:
     """Fixed-part decomposition L = sum N_j A_j + M with some N_j >= 2,
     v(M) >= 0, and M meeting the enumerated curves non-negatively; None if
     no enumerated curve orbit meets L to order <= -2."""
-    if classes is None:
-        classes = candidates_for(L)
+    classes = candidates_for(L)
     d, m0, n, m = L.as_tuple()
     fixed: dict[int, int] = {}
     changed = True
@@ -483,7 +431,7 @@ def find_special_decomposition(
     parts = [(classes[i], N) for i, N in fixed.items()]
     if not _pairwise_disjoint(parts, n):
         return None
-    res_v = _lattice_v(d, m0, n, m)
+    res_v = lattice_virtual_dim(d, m0, n, m)
     if res_v < 0:
         return None
     # Residual may keep simple (-1)-curves in its base locus; it must not

@@ -108,6 +108,35 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "6", "0", "5", "3", "--prime", "10"], "10 is not prime"),
+        (["oracle", "6", "0", "5", "3", "--prime", "4294967311"], "exceeds 2^31 - 1"),
+        (["dim", "3", "0", "-1", "2"], "n must be non-negative"),
+    ],
+)
+def test_invalid_value_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qhplane: error: ")
+    assert message in captured.err
+
+
+def test_certify_rejects_tampered_cache(capsys, tmp_path):
+    cache = tmp_path / "memo.json"
+    assert main(["certify", "10", "0", "11", "3", "--cache", str(cache)]) == 0
+    data = json.loads(cache.read_text())
+    key = "10,0,11,3"
+    data["entries"][key] = {"outcome": "NonSpecialProved", "dim": 5}
+    cache.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["certify", "10", "0", "11", "3", "--cache", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert str(cache) in err and key in err
+
+
 def test_python_dash_m_entry_point():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)

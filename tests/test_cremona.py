@@ -22,7 +22,6 @@ def test_transform_example():
     t = quadratic_transform(s, 0, 1, 2)
     assert t.degree == 2 * 12 - 8 - 3 - 3 == 10
     assert t.mults == (6, 1, 1) + (3,) * 7
-    assert not t.from_empty_warning
 
 
 def test_transform_pencil_family():
@@ -43,11 +42,6 @@ def test_transform_rejects_repeated_indices():
         quadratic_transform(s, 0, 0, 1)
     with pytest.raises(IndexError):
         quadratic_transform(s, 0, 1, 5)
-
-
-def test_empty_warning_flag():
-    s = MultiplicitySequence(2, (2, 2, 2))
-    assert quadratic_transform(s, 0, 1, 2).from_empty_warning
 
 
 sequences = st.builds(

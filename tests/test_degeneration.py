@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhplane.core import L, expected_dim, virtual_dim
+from qhplane.core import L, Status, expected_dim, virtual_dim
 from qhplane.degeneration import (
     BudgetExceeded,
     Certifier,
@@ -98,7 +100,7 @@ def test_certified_dims_match_oracle():
                 for n in range(3, 9):
                     sys_ = L(d, m0, n, m)
                     c = cf.certify(sys_)
-                    if not c.proved:
+                    if c.outcome == Status.INCONCLUSIVE:
                         continue
                     want = -1 if c.outcome == "EmptyProved" else expected_dim(sys_)
                     assert c.dim == want
@@ -115,6 +117,48 @@ def test_memoization_and_cache_round_trip(tmp_path):
     assert fresh.load_cache(path) == n_entries
     assert fresh.certify(L(7, 0, 8, 3)).outcome == cf.certify(L(7, 0, 8, 3)).outcome
     assert fresh.nodes == 0  # answered from cache
+
+
+def _tampered_cache(tmp_path, key, entry):
+    path = tmp_path / "cache.json"
+    cf = Certifier()
+    cf.certify(L(7, 0, 8, 3))
+    cf.save_cache(str(path))
+    data = json.loads(path.read_text())
+    data["entries"][key] = entry
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "key, entry",
+    [
+        ("7,0,8,3", {"outcome": "Proved", "dim": 1}),  # unknown word
+        ("7,0,8,3", {"outcome": "SpecialProved", "dim": 2}),  # not an outcome
+        ("7,0,8,3", {"outcome": "EmptyProved", "dim": 0}),  # empty needs -1
+        ("7,0,8,3", {"outcome": "NonSpecialProved", "dim": 2}),  # e is -1
+        ("6,0,9,2", {"outcome": "NonSpecialProved", "dim": False}),  # e is 0, not False
+        ("7,0,8,3", {"outcome": "NonSpecialProved"}),  # no dim
+        ("4,0,5,2", {"outcome": "Inconclusive", "dim": -1}),  # not above e
+        ("4,0,5,2", {"outcome": "EmptyProved", "dim": None}),
+        ("4,0,-5,2", {"outcome": "EmptyProved", "dim": -1}),  # not a system
+    ],
+)
+def test_load_cache_rejects_tampered_entries(tmp_path, key, entry):
+    path = _tampered_cache(tmp_path, key, entry)
+    with pytest.raises(ValueError) as exc:
+        Certifier().load_cache(path)
+    assert path in str(exc.value) and repr(key) in str(exc.value)
+
+
+def test_load_cache_accepts_consistent_entries(tmp_path):
+    # e(L(4,0,5,2)) = -1; its proved dimension 0 leaves it Inconclusive.
+    path = _tampered_cache(tmp_path, "4,0,5,2", {"outcome": "Inconclusive", "dim": 0})
+    fresh = Certifier()
+    fresh.load_cache(path)
+    assert fresh.memo[(4, 0, 5, 2)].outcome == Status.INCONCLUSIVE
+    assert fresh.certify(L(7, 0, 8, 3)).outcome == Status.EMPTY_PROVED
+    assert fresh.nodes == 0
 
 
 def test_budget_exceeded():
@@ -136,5 +180,5 @@ def test_semicontinuity_on_evaluated_splits():
     cf = Certifier()
     sys_ = L(9, 2, 10, 3)
     cert = cf.certify(sys_)
-    if cert.proved:
+    if cert.outcome != Status.INCONCLUSIVE:
         assert cert.dim >= expected_dim(sys_)

@@ -69,6 +69,29 @@ def test_uv_xy_round_trip(m):
         assert y == 1 - m - v
 
 
+def _hyperbola_solutions_by_trial_division(m):
+    target = (m - 1) * (2 * m + 1)
+    out = []
+    for x in range(1, target + 1):
+        if target % x:
+            continue
+        y = target // x
+        if x + m < y:
+            continue
+        if (x - y - m) % 2:
+            continue
+        if (x + 2 * y - 1) % m:
+            continue
+        out.append((x, y))
+    return out
+
+
+def test_hyperbola_solutions_match_trial_division():
+    for m in range(1, 301):
+        assert hyperbola_solutions(m) == _hyperbola_solutions_by_trial_division(m), m
+    assert hyperbola_solutions(1) == []
+
+
 def test_homogeneous_classes():
     got = [s.as_tuple() for s in enumerate_homogeneous_classes()]
     assert got == [(1, 0, 2, 1), (2, 0, 5, 1)]
