@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: dim, classify, enumerate, oracle, certify, verify, table.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (including
+a ValueError from invalid input, reported as `qhplane: error: ...`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ A quasi-homogeneous (-1)-class is a system with self-intersection -1 and
 arithmetic genus 0; the two conditions reduce, after two changes of
 variables, to factorizations x*y = (m-1)(2m+1), so the classes can be
 enumerated exactly.  Orbits of non-quasi-homogeneous (-1)-curves under
-permutation of the n points give the compound configurations.  A system
+permutation of the n points give the compound configurations; one
+Diophantine scan (`_minus_one_curves`) finds their members.  A system
 meeting such a curve to order -N <= -2 contains it N times in its base
 locus and is therefore special; `find_special_decomposition` searches for
 that situation.
