@@ -24,8 +24,8 @@ MAX_INPUT = 10**6
 class Status(str, Enum):
     """Proof status of a dimension (classifier) or outcome (certifier).
 
-    A str Enum, so members compare equal to their values; print and
-    serialise `.value`."""
+    A str Enum: members compare equal to their values and json writes the
+    value.  Print `.value`; f"{member}" gives the member name on 3.11."""
 
     NON_SPECIAL_PROVED = "NonSpecialProved"
     SPECIAL_PROVED = "SpecialProved"
@@ -117,8 +117,7 @@ def expected_dim(L: QuasiHomogeneousSystem) -> int:
 
 def proved(L: QuasiHomogeneousSystem, dim: int, certificate: dict) -> DimensionResult:
     """A proved dimension of L, special exactly when it exceeds e."""
-    special = dim > expected_dim(L)
-    status = Status.SPECIAL_PROVED if special else Status.NON_SPECIAL_PROVED
+    status = Status.SPECIAL_PROVED if dim > expected_dim(L) else Status.NON_SPECIAL_PROVED
     return DimensionResult(dim, status, certificate)
 
 

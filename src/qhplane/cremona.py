@@ -141,11 +141,7 @@ def dim_m0_eq_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
     cert = {"base": "m0=d-m", "q": q, "mu": mu, "h": h, "eps": eps}
     if q >= h + 1:
         dim = d * (m + 1) - m * (m - 1) // 2 - n * m * (m + 1) // 2
-    elif q == h and eps == 1:
-        dim = -1
-    elif q == h and mu == m - 1:
-        dim = (m - 1) * (m + 2) // 2
-    elif q == h:
+    elif q == h and eps == 0:
         dim = mu * (mu + 3) // 2
     else:
         dim = -1
@@ -186,9 +182,7 @@ def dim_m0_ge_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
     if m0 < d - m:
         raise ValueError(f"{L} has m0 < d - m")
     if m0 == d - m:
-        if m == 1:
-            return dim_few_points(L)
-        return dim_m0_eq_d_minus_m(L)
+        return dim_few_points(L) if m == 1 else dim_m0_eq_d_minus_m(L)
     k = m0 - (d - m)
     # Each line through p0 and a base point meets the system in
     # m0 + m > d points, so splits off; iterated k times per line.
