@@ -3,7 +3,10 @@
 Each box below is recomputed, serialised with compact `json.dumps` and
 hashed with sha256; the digests were recorded before the pipeline was
 consolidated, so any change to a dimension, a status, a certifier outcome
-or an enumeration row shows up here.  On a mismatch the message names the
+or an enumeration row shows up here.  The certifier tree digest was
+recorded before the certifier's recursion was rewritten on tuples: it also
+pins every split chosen, every subsystem summary and every base-case
+certificate.  On a mismatch the message names the
 box and prints the histogram of one column (the status, where there is one).
 """
 
@@ -41,6 +44,11 @@ def certifier_rows():
         cert = cf.certify(L(*cell))
         rows.append([*cell, cert.outcome, cert.dim])
     return rows
+
+
+def certifier_tree_rows():
+    cf = Certifier()
+    return [cf.certify(L(*cell)).to_dict() for cell in _box(range(1, 4))]
 
 
 def configuration_rows():
@@ -94,6 +102,12 @@ GOLDEN = [
         certifier_rows,
         "31669f44ae67fe894c22298d2853f2fcaa4992867f855960376dba6882772134",
         _histogram_of(4),
+    ),
+    (
+        "certifier trees d<=20 m<=3",
+        certifier_tree_rows,
+        "efefa7b8104d67373ff040553ab1c2fce07c5fbd014accdb2559b8e9eb5d5280",
+        _histogram_of("outcome"),
     ),
     (
         "configurations m_max<=17",
