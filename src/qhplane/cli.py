@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: dim, classify, enumerate, oracle, certify, verify, table.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error (including
-a ValueError from invalid input, reported as `qhplane: error: ...`).
+Exit codes: 0 success, 1 verification mismatch or an exhausted certifier
+budget, 2 usage error (including a ValueError from invalid input, such as a
+budget below 1).  Errors are reported as `qhplane: error: ...` on stderr.
 """
 
 from __future__ import annotations
@@ -166,7 +167,11 @@ def cmd_oracle(args) -> int:
 def cmd_certify(args) -> int:
     sys_ = L(args.d, args.m0, args.n, args.m)
     cache_path = args.cache or os.environ.get(degeneration.CACHE_ENV_VAR)
-    cert = degeneration.certify(sys_, budget=args.budget, cache_path=cache_path)
+    try:
+        cert = degeneration.certify(sys_, budget=args.budget, cache_path=cache_path)
+    except degeneration.BudgetExceeded as exc:
+        print(f"qhplane: error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         _emit_json(cert.to_dict())
     else:

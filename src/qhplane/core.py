@@ -66,11 +66,7 @@ class QuasiHomogeneousSystem:
         return (self.d, self.m0, self.n, self.m)
 
     def canonical_key(self) -> tuple[int, int, int, int]:
-        """Memoization key.  With a single extra point the two points are
-        interchangeable general points, so sort (m0, m) descending."""
-        if self.n == 1 and self.m > self.m0:
-            return (self.d, self.m, 1, self.m0)
-        return self.as_tuple()
+        return canonical_key(self.d, self.m0, self.n, self.m)
 
     def multiplicities(self) -> list[int]:
         """All multiplicities, distinguished point first."""
@@ -80,6 +76,14 @@ class QuasiHomogeneousSystem:
         if self.n == 0:
             return f"L({self.d},{self.m0})"
         return f"L({self.d},{self.m0},{self.n},{self.m})"
+
+
+def canonical_key(d: int, m0: int, n: int, m: int) -> tuple[int, int, int, int]:
+    """Memoization key of L(d, m0, n, m).  With a single extra point the two
+    points are interchangeable general points, so sort (m0, m) descending."""
+    if n == 1 and m > m0:
+        return (d, m, 1, m0)
+    return (d, m0, n, m)
 
 
 #: Short constructor used pervasively in tests and internal code.

@@ -8,22 +8,43 @@ proved non-special (empty if v <= -1).  The certifier recurses on the
 subsystems, with the classifier's proved base cases (few points, the
 (-1)-special table, the closed forms of the large-m0 theory) as leaves,
 and memoizes by canonical system tuple.  Outcomes use core.Status.
+
+The recursion runs on plain (d, m0, n, m) tuples and builds a system object
+only on a memo miss.  Its soundness checks (the split identities, the
+agreement of the two limit formulas, semicontinuity) raise SoundnessError,
+so they also run under `python -O`.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, islice, repeat
+from typing import Iterator, Optional
 
 from . import classifier
-from .core import QuasiHomogeneousSystem, Status, expected_dim, virtual_dim
+from .core import (
+    MAX_INPUT,
+    QuasiHomogeneousSystem,
+    Status,
+    canonical_key,
+    expected_dim,
+    lattice_virtual_dim,
+)
 from .core import L as _L
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when the certifier's node budget is exhausted."""
+
+
+class SoundnessError(AssertionError):
+    """Raised when a soundness check of a degeneration fails: the split
+    arithmetic, the limit formulas or semicontinuity.  Never expected; it
+    means a bug, or subsystem dimensions (a cache entry, say) that are false."""
 
 
 CACHE_VERSION = 1
@@ -35,6 +56,8 @@ MAX_SPLITS_PER_NODE = 400
 _OUTCOMES = {
     s.value: s for s in (Status.EMPTY_PROVED, Status.NON_SPECIAL_PROVED, Status.INCONCLUSIVE)
 }
+#: a cache key as the certifier writes it: four plain decimal integers
+_CACHE_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*)){3}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +71,8 @@ class DegenerationSplit:
     """The four subsystems cut out by a (k,b)-degeneration of L.
 
     LP / LF live on the two pieces; hatLP / hatLF are the kernels of the
-    restriction to the double curve.  The virtual-dimension identities
-    vP + vF = v + d - k and vhatP + vF = vP + vhatF = v - 1 are checked at
-    construction.
+    restriction to the double curve.  `split` checks the virtual-dimension
+    identities vP + vF = v + d - k and vhatP + vF = vP + vhatF = v - 1.
     """
 
     parent: QuasiHomogeneousSystem
@@ -60,14 +82,26 @@ class DegenerationSplit:
     hatLP: QuasiHomogeneousSystem
     hatLF: QuasiHomogeneousSystem
 
-    def __post_init__(self):
-        v = virtual_dim(self.parent)
-        vP, vF = virtual_dim(self.LP), virtual_dim(self.LF)
-        vhatP, vhatF = virtual_dim(self.hatLP), virtual_dim(self.hatLF)
-        d, k = self.parent.d, self.params.k
-        assert vP + vF == v + d - k
-        assert vhatP + vF == v - 1
-        assert vP + vhatF == v - 1
+
+def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tuple, ...]:
+    """(LP, LF, hatLP, hatLF) of the (k,b)-split of L(d, m0, n, m), as tuples.
+
+    Needs 0 < k < d and 0 < b < n; raises SoundnessError unless the three
+    virtual-dimension identities hold."""
+    subs = (
+        (d - k, m0, n - b, m),
+        (d, d - k, b, m),
+        (d - k - 1, m0, n - b, m),
+        (d, d - k + 1, b, m),
+    )
+    v = lattice_virtual_dim(d, m0, n, m)
+    vP, vF, vhatP, vhatF = (lattice_virtual_dim(*t) for t in subs)
+    if vP + vF != v + d - k or vhatP + vF != v - 1 or vP + vhatF != v - 1:
+        raise SoundnessError(
+            f"split identities fail for (k,b)=({k},{b}) on L({d},{m0},{n},{m}): "
+            f"v={v} vP={vP} vF={vF} vhatP={vhatP} vhatF={vhatF}"
+        )
+    return subs
 
 
 def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> DegenerationSplit:
@@ -77,14 +111,23 @@ def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> Degeneration
         raise ValueError(f"k={k} out of range 0 < k < d={d}")
     if not (0 < b < n):
         raise ValueError(f"b={b} out of range 0 < b < n={n}")
-    return DegenerationSplit(
-        parent=L,
-        params=params,
-        LP=_L(d - k, m0, n - b, m),
-        LF=_L(d, d - k, b, m),
-        hatLP=_L(d - k - 1, m0, n - b, m),
-        hatLF=_L(d, d - k + 1, b, m),
-    )
+    LP, LF, hatLP, hatLF = (_L(*t) for t in _split_tuples(d, m0, n, m, k, b))
+    return DegenerationSplit(L, params, LP, LF, hatLP, hatLF)
+
+
+def _limit_dim(dk: int, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
+    """dim_L0 with dk = d - k."""
+    rP = lP - lPhat - 1
+    rF = lF - lFhat - 1
+    if rP + rF > dk - 1:
+        return lP + lF - dk
+    l0 = lPhat + lFhat + 1
+    if rP + rF == dk - 1 and l0 != lP + lF - dk:
+        raise SoundnessError(
+            f"limit formulas disagree on the boundary: d-k={dk}, "
+            f"dims {[lP, lF, lPhat, lFhat]}"
+        )
+    return l0
 
 
 def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
@@ -93,16 +136,9 @@ def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> in
     With rP = lP - lPhat - 1 and rF = lF - lFhat - 1 (the dimensions of the
     restrictions to the double curve), the limit is lPhat + lFhat + 1 when
     the two restricted series are non-transversal-free (rP + rF <= d-k-1)
-    and lP + lF - (d-k) otherwise; the formulas agree on the boundary."""
-    d, k = s.parent.d, s.params.k
-    rP = lP - lPhat - 1
-    rF = lF - lFhat - 1
-    if rP + rF <= d - k - 1:
-        l0 = lPhat + lFhat + 1
-        if rP + rF == d - k - 1:
-            assert l0 == lP + lF - (d - k)
-        return l0
-    return lP + lF - (d - k)
+    and lP + lF - (d-k) otherwise; the formulas agree on the boundary, which
+    is checked."""
+    return _limit_dim(s.parent.d - s.params.k, lP, lF, lPhat, lFhat)
 
 
 @dataclass
@@ -118,6 +154,27 @@ class Certificate:
         return {**_summary(self), "tree": self.tree}
 
 
+class _CachedCertificate(Certificate):
+    """The certificate a cache entry claims for the system keyed `key`.
+
+    Its system object is built on first use: most loaded entries are never
+    summarised in a tree, and building a validated system costs more than
+    the rest of an entry's load."""
+
+    def __init__(self, key: tuple, outcome: Status, dim: Optional[int]):
+        self._key = key
+        self._system = None
+        self.outcome = outcome
+        self.dim = dim
+        self.tree = {"cached": True}
+
+    @property
+    def system(self) -> QuasiHomogeneousSystem:
+        if self._system is None:
+            self._system = _L(*self._key)
+        return self._system
+
+
 def _summary(cert: Certificate) -> dict:
     return {
         "system": cert.system.as_tuple(),
@@ -129,49 +186,61 @@ def _summary(cert: Certificate) -> dict:
 class Certifier:
     """Memoized recursive certifier.
 
-    budget bounds the number of systems examined across one Certifier's
-    lifetime; the memo persists across calls and can be saved to / loaded
-    from a JSON cache file."""
+    budget (at least 1) bounds the number of systems examined across one
+    Certifier's lifetime; the memo persists across calls and can be saved
+    to / loaded from a JSON cache file.  The memo only grows: save_cache
+    encodes just the entries added since the last load or save."""
 
     def __init__(self, budget: int = 100_000):
+        if budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {budget}")
         self.budget = budget
         self.nodes = 0
         self.memo: dict[tuple, Certificate] = {}
+        # the cache-file entries of the memo's first len(self._entries)
+        # keys, in memo order
+        self._entries: dict[str, dict] = {}
 
     # -- cache persistence --------------------------------------------------
 
     def load_cache(self, path: str) -> int:
         """Load the memo entries of a cache file; returns how many were new.
 
-        Raises ValueError, naming the file and the key, on an entry whose
-        outcome is not a certifier outcome or whose dim contradicts it.
-        The entries carry no proof: a consistent entry is trusted."""
+        Raises ValueError, naming the file and the key, on a key that is not
+        four decimal integers up to MAX_INPUT, or an entry whose outcome is
+        not a certifier outcome or whose dim contradicts it.  Every entry is
+        checked, used or not.  The entries carry no proof: a consistent
+        entry is trusted."""
         if not os.path.exists(path):
             return 0
         with open(path) as fh:
             data = json.load(fh)
         if data.get("version") != CACHE_VERSION:
             return 0
+        memo, entries = self.memo, self._entries
+        in_step = len(entries) == len(memo)
         loaded = 0
         for key, entry in data.get("entries", {}).items():
             try:
-                tup = tuple(map(int, key.split(",")))
-                cert = _cached_certificate(_L(*tup), entry)
+                tup, cert = _cached_certificate(key, entry)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
-            if tup not in self.memo:
-                self.memo[tup] = cert
+            if tup not in memo:
+                memo[tup] = cert
+                if in_step:
+                    entries[key] = {"outcome": cert.outcome, "dim": cert.dim}
                 loaded += 1
         return loaded
 
     def save_cache(self, path: str) -> None:
-        entries = {
-            ",".join(map(str, key)): {"outcome": c.outcome, "dim": c.dim}
-            for key, c in self.memo.items()
-        }
+        entries = self._entries
+        for key, c in islice(self.memo.items(), len(entries), None):
+            entries[",".join(map(str, key))] = {"outcome": c.outcome, "dim": c.dim}
+        # json.dumps runs the C encoder; json.dump to a file does not
+        text = json.dumps({"version": CACHE_VERSION, "entries": entries})
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
-            json.dump({"version": CACHE_VERSION, "entries": entries}, fh)
+            fh.write(text)
         os.replace(tmp, path)
 
     # -- certification ------------------------------------------------------
@@ -187,6 +256,14 @@ class Certifier:
         cert = self._certify_uncached(L)
         self.memo[key] = cert
         return cert
+
+    def _certify_tuple(self, t: tuple) -> Certificate:
+        """certify(L(*t)), building the system only on a memo miss; t is a
+        normalised system tuple."""
+        hit = self.memo.get(canonical_key(*t))
+        if hit is not None:
+            return hit
+        return self.certify(_L(*t))
 
     def _finish(
         self, L: QuasiHomogeneousSystem, dim: int, via: dict
@@ -207,88 +284,107 @@ class Certifier:
         base = classifier.proved_base_case(L)
         if base is not None:
             return self._finish(L, base.dim, base.certificate)
+        d, m0, n, m = L.as_tuple()
         e = expected_dim(L)
         attempts = []
-        for params in self._candidate_params(L):
-            try:
-                s = split(L, params)
-            except ValueError:
-                continue
-            dims = []
-            ok = True
-            for sub in (s.LP, s.LF, s.hatLP, s.hatLF):
-                sub_cert = self.certify(sub)
-                if sub_cert.dim is None:
-                    ok = False
+        for k, b in _candidate_splits(d, m0, n, m):
+            subs = []
+            for t in _split_tuples(d, m0, n, m, k, b):
+                sub = self._certify_tuple(t)
+                if sub.dim is None:
                     break
-                dims.append(sub_cert.dim)
-            if not ok:
-                attempts.append({"k": params.k, "b": params.b, "result": "unknown-sub"})
+                subs.append(sub)
+            if len(subs) < 4:
+                attempts.append({"k": k, "b": b, "result": "unknown-sub"})
                 continue
-            l0 = dim_L0(s, *dims)
+            dims = [sub.dim for sub in subs]
+            l0 = _limit_dim(d - k, *dims)
             # Semicontinuity: the limit dimension bounds l(L) from above,
             # and l(L) >= e always.
-            assert l0 >= e, (L, params, dims, l0)
-            attempts.append({"k": params.k, "b": params.b, "l0": l0, "dims": dims})
+            if l0 < e:
+                raise SoundnessError(
+                    f"semicontinuity fails for (k,b)=({k},{b}) on {L}: "
+                    f"l0={l0} < e={e} from dims {dims}"
+                )
+            attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
             if l0 == e:
                 return self._finish(
                     L,
                     e,
                     {
-                        "split": {"k": params.k, "b": params.b},
+                        "split": {"k": k, "b": b},
                         "l0": l0,
-                        "subsystems": [
-                            _summary(self.certify(sub))
-                            for sub in (s.LP, s.LF, s.hatLP, s.hatLF)
-                        ],
+                        "subsystems": [_summary(sub) for sub in subs],
                     },
                 )
         return Certificate(
             system=L, outcome=Status.INCONCLUSIVE, dim=None, tree={"attempts": attempts}
         )
 
-    def _candidate_params(self, L: QuasiHomogeneousSystem):
-        """Paper-guided (k, b) choices first, then a balanced exhaustive
-        sweep."""
-        d, m0, n, m = L.as_tuple()
-        v = virtual_dim(L)
-        seen = set()
 
-        def emit(k, b):
-            if 0 < k < d and 0 < b < n and (k, b) not in seen:
-                seen.add((k, b))
-                yield DegenerationParams(k, b)
-
-        prescriptions: list[tuple[int, int]] = []
-        if m == 2:
-            if v <= -1:
-                prescriptions.append((1, d // 2 + 1))
-            else:
-                prescriptions.append((1, (d + 1) // 2))
-        elif m == 3:
-            if v <= -1:
-                for b in range(d // 2, 2 * d // 5, -1):
-                    if d % 4 == 0 and 2 * b == d:
-                        continue
-                    prescriptions.append((2, b))
-            h = (d + 1) // 2
-            prescriptions += [(3, h), (3, h + 1)]
-        for k, b in prescriptions:
-            yield from emit(k, b)
-        fallback = sorted(
-            ((k, b) for k in range(1, d) for b in range(1, n)),
-            key=lambda kb: (kb[0] * abs(2 * kb[1] - d), kb[0], kb[1]),
-        )
-        for k, b in fallback[:MAX_SPLITS_PER_NODE]:
-            yield from emit(k, b)
+def _candidate_splits(d: int, m0: int, n: int, m: int) -> Iterator[tuple[int, int]]:
+    """Paper-guided (k, b) choices first, then the first MAX_SPLITS_PER_NODE
+    pairs of the balanced exhaustive ranking, each pair once."""
+    v = lattice_virtual_dim(d, m0, n, m)
+    prescriptions: list[tuple[int, int]] = []
+    if m == 2:
+        if v <= -1:
+            prescriptions.append((1, d // 2 + 1))
+        else:
+            prescriptions.append((1, (d + 1) // 2))
+    elif m == 3:
+        if v <= -1:
+            for b in range(d // 2, 2 * d // 5, -1):
+                if d % 4 == 0 and 2 * b == d:
+                    continue
+                prescriptions.append((2, b))
+        h = (d + 1) // 2
+        prescriptions += [(3, h), (3, h + 1)]
+    seen = set()
+    for k, b in chain(prescriptions, islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE)):
+        if 0 < k < d and 0 < b < n and (k, b) not in seen:
+            seen.add((k, b))
+            yield k, b
 
 
-def _cached_certificate(L: QuasiHomogeneousSystem, entry: dict) -> Certificate:
-    """The certificate a cache entry claims for L.
+def _ranked_splits(d: int, n: int) -> Iterator[tuple[int, int]]:
+    """The pairs (k, b) with 0 < k < d and 0 < b < n, lazily, ranked by the
+    key (k * |2b - d|, k, b), as far as the first MAX_SPLITS_PER_NODE.
 
-    Raises ValueError when the outcome is not a certifier outcome or the
-    dim contradicts it: EmptyProved needs -1, NonSpecialProved needs e,
+    Within a row k the key orders b by (|2b - d|, b) whatever k is, so every
+    row walks the same b list; heapq.merge interleaves the rows."""
+    bs = list(islice(_balanced_b(d, n), MAX_SPLITS_PER_NODE))
+    gaps = [abs(2 * b - d) for b in bs]
+    rows = [zip(map(k.__mul__, gaps), repeat(k), bs) for k in range(1, d)]
+    for _, k, b in heapq.merge(*rows):
+        yield k, b
+
+
+def _balanced_b(d: int, n: int) -> Iterator[int]:
+    """b = 1 .. n-1 ordered by (|2b - d|, b): outward from d/2, the lower
+    of two equally distant values first."""
+    lo, hi = min(d // 2, n - 1), d // 2 + 1
+    while lo >= 1 or hi < n:
+        if lo >= 1 and (hi >= n or d - 2 * lo <= 2 * hi - d):
+            yield lo
+            lo -= 1
+        else:
+            yield hi
+            hi += 1
+
+
+def _cached_certificate(key: str, entry: dict) -> tuple[tuple, Certificate]:
+    """The memo key and certificate a cache entry claims, checked on ints.
+
+    Raises ValueError when the key is not four decimal integers up to
+    MAX_INPUT, the outcome is not a certifier outcome or the dim
+    contradicts it: EmptyProved needs -1, NonSpecialProved needs e,
     Inconclusive needs None or a dim above e."""
+    if _CACHE_KEY.fullmatch(key) is None:
+        raise ValueError("the key is not four decimal integers")
+    tup = tuple(map(int, key.split(",")))
+    if max(tup) > MAX_INPUT:
+        raise ValueError(f"the key exceeds the supported cap {MAX_INPUT}")
     word, dim = entry["outcome"], entry["dim"]
     outcome = _OUTCOMES.get(word)
     if outcome is None:
@@ -300,12 +396,12 @@ def _cached_certificate(L: QuasiHomogeneousSystem, entry: dict) -> Certificate:
     elif outcome == Status.EMPTY_PROVED:
         consistent = dim == -1
     elif outcome == Status.NON_SPECIAL_PROVED:
-        consistent = dim == expected_dim(L)
+        consistent = dim == max(-1, lattice_virtual_dim(*tup))
     else:
-        consistent = dim > expected_dim(L)
+        consistent = dim > max(-1, lattice_virtual_dim(*tup))
     if not consistent:
         raise ValueError(f"outcome {word} contradicts dim {dim!r}")
-    return Certificate(system=L, outcome=outcome, dim=dim, tree={"cached": True})
+    return tup, _CachedCertificate(tup, outcome, dim)
 
 
 def certify(
@@ -313,11 +409,15 @@ def certify(
     budget: int = 100_000,
     cache_path: Optional[str] = None,
 ) -> Certificate:
-    """One-shot certification; see Certifier for the long-lived form."""
+    """One-shot certification; see Certifier for the long-lived form.
+
+    With cache_path the cache is loaded first and rewritten only when the
+    memo gained an entry."""
     c = Certifier(budget=budget)
     if cache_path:
         c.load_cache(cache_path)
+    known = len(c.memo)
     cert = c.certify(L)
-    if cache_path:
+    if cache_path and len(c.memo) > known:
         c.save_cache(cache_path)
     return cert

@@ -114,6 +114,7 @@ def test_usage_error_exit_2(capsys):
         (["oracle", "6", "0", "5", "3", "--prime", "10"], "10 is not prime"),
         (["oracle", "6", "0", "5", "3", "--prime", "4294967311"], "exceeds 2^31 - 1"),
         (["dim", "3", "0", "-1", "2"], "n must be non-negative"),
+        (["certify", "12", "0", "13", "3", "--budget", "-5"], "budget must be at least 1"),
     ],
 )
 def test_invalid_value_exits_2(capsys, argv, message):
@@ -137,15 +138,27 @@ def test_certify_rejects_tampered_cache(capsys, tmp_path):
     assert str(cache) in err and key in err
 
 
-def test_python_dash_m_entry_point():
+def _run_module(*argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "qhplane", "table", "qh1list"],
+    return subprocess.run(
+        [sys.executable, "-m", "qhplane", *argv],
         cwd=root, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = _run_module("table", "qh1list")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[:6] == ["d", "m0", "n", "m", "x", "y"]
+
+
+def test_certify_budget_exhausted_exits_1_without_traceback():
+    proc = _run_module("certify", "12", "0", "13", "3", "--budget", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "qhplane: error: node budget 3 exhausted at L(9,6,5,3)\n"

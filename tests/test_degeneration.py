@@ -1,15 +1,22 @@
+import hashlib
 import json
+import os
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhplane import degeneration
 from qhplane.core import L, Status, expected_dim, virtual_dim
 from qhplane.degeneration import (
+    MAX_SPLITS_PER_NODE,
     BudgetExceeded,
     Certifier,
     DegenerationParams,
     DegenerationSplit,
+    SoundnessError,
+    _ranked_splits,
     certify,
     dim_L0,
     split,
@@ -142,6 +149,11 @@ def _tampered_cache(tmp_path, key, entry):
         ("4,0,5,2", {"outcome": "Inconclusive", "dim": -1}),  # not above e
         ("4,0,5,2", {"outcome": "EmptyProved", "dim": None}),
         ("4,0,-5,2", {"outcome": "EmptyProved", "dim": -1}),  # not a system
+        ("07,0,8,3", {"outcome": "EmptyProved", "dim": -1}),  # not as written
+        (" 7,0,8,3", {"outcome": "EmptyProved", "dim": -1}),
+        ("7,0,8", {"outcome": "EmptyProved", "dim": -1}),
+        ("7,0,8,3,0", {"outcome": "EmptyProved", "dim": -1}),
+        ("1000001,0,8,3", {"outcome": "EmptyProved", "dim": -1}),  # above MAX_INPUT
     ],
 )
 def test_load_cache_rejects_tampered_entries(tmp_path, key, entry):
@@ -182,3 +194,129 @@ def test_semicontinuity_on_evaluated_splits():
     cert = cf.certify(sys_)
     if cert.outcome != Status.INCONCLUSIVE:
         assert cert.dim >= expected_dim(sys_)
+
+
+def test_budget_below_one_is_rejected():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            Certifier(budget=budget)
+        with pytest.raises(ValueError, match="at least 1"):
+            certify(L(12, 0, 13, 3), budget=budget)
+
+
+def test_cached_certificate_builds_its_system_on_use(tmp_path):
+    path = _tampered_cache(tmp_path, "4,0,5,2", {"outcome": "Inconclusive", "dim": 0})
+    fresh = Certifier()
+    fresh.load_cache(path)
+    cert = fresh.memo[(4, 0, 5, 2)]
+    assert cert.system == L(4, 0, 5, 2)
+    assert cert.to_dict() == {
+        "system": (4, 0, 5, 2), "outcome": Status.INCONCLUSIVE, "dim": 0,
+        "tree": {"cached": True},
+    }
+
+
+def _ranked_reference(d, n):
+    # the eager ranking the lazy generator replaced
+    pairs = sorted(
+        ((k, b) for k in range(1, d) for b in range(1, n)),
+        key=lambda kb: (kb[0] * abs(2 * kb[1] - d), kb[0], kb[1]),
+    )
+    return pairs[:MAX_SPLITS_PER_NODE]
+
+
+def test_lazy_split_ranking_matches_sorted_list():
+    for d in range(1, 41):
+        for n in [*range(1, 41), 200, 1600]:
+            got = list(islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE))
+            assert got == _ranked_reference(d, n), (d, n)
+
+
+# The four subsystems of the (2,3)-split of L(6,0,5,3).
+_SUBS = {"LP": (4, 0, 2, 3), "LF": (6, 4, 3, 3), "hatLP": (3, 0, 2, 3), "hatLF": (6, 5, 3, 3)}
+
+
+@pytest.mark.parametrize(
+    "shifts",
+    [
+        {"LP": 1, "hatLF": -1},  # breaks vP + vF = v + d - k only
+        {"hatLP": 1},  # breaks vhatP + vF = v - 1 only
+        {"hatLF": 1},  # breaks vP + vhatF = v - 1 only
+    ],
+)
+def test_split_identities_are_checked(monkeypatch, shifts):
+    real = degeneration.lattice_virtual_dim
+    shift = {_SUBS[name]: by for name, by in shifts.items()}
+    monkeypatch.setattr(
+        degeneration, "lattice_virtual_dim", lambda *t: real(*t) + shift.get(t, 0)
+    )
+    with pytest.raises(SoundnessError, match="split identities"):
+        split(L(6, 0, 5, 3), DegenerationParams(2, 3))
+
+
+def test_certifier_checks_split_identities(monkeypatch):
+    real = degeneration.lattice_virtual_dim
+    monkeypatch.setattr(
+        degeneration, "lattice_virtual_dim", lambda *t: real(*t) + (t == (5, 0, 6, 2))
+    )
+    with pytest.raises(SoundnessError, match="split identities"):
+        Certifier().certify(L(5, 0, 6, 2))
+
+
+class _SkewedSum(int):
+    """A forged dimension whose sums come out one too large."""
+
+    def __add__(self, other):
+        return int(self) + int(other) + 1
+
+
+def test_limit_formula_boundary_agreement_is_checked():
+    # The boundary case of test_dim_L0_boundary_consistency, with lPhat forged.
+    s = split(L(6, 0, 6, 2), DegenerationParams(1, 3))
+    with pytest.raises(SoundnessError, match="limit formulas disagree"):
+        dim_L0(s, 5, 4, _SkewedSum(2), 1)
+
+
+def test_semicontinuity_is_checked(tmp_path):
+    # A consistent cache entry carries no proof: claiming the four subsystems
+    # of L(5,0,6,2)'s first split empty gives l0 = -1 < e = 2.
+    path = tmp_path / "cache.json"
+    forged = {"outcome": "EmptyProved", "dim": -1}
+    entries = {key: forged for key in ("4,0,3,2", "5,4,3,2", "3,0,3,2", "5,5,3,2")}
+    path.write_text(json.dumps({"version": degeneration.CACHE_VERSION, "entries": entries}))
+    cf = Certifier()
+    assert cf.load_cache(str(path)) == 4
+    with pytest.raises(SoundnessError, match="semicontinuity"):
+        cf.certify(L(5, 0, 6, 2))
+
+
+def _ladder_cache(path, steps):
+    # the first steps of perfbench's certify ladder, through cache_path=
+    for d in range(40, 40 + steps):
+        certify(L(d, 0, d * (d + 3) // 2 // 6 + (d % 2 == 0), 3), cache_path=path)
+
+
+def test_ladder_cache_matches_recorded_contents(tmp_path):
+    # Recorded with the certifier before its recursion moved to tuples.
+    path = str(tmp_path / "cache.json")
+    _ladder_cache(path, 16)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert len(data["entries"]) == 1180
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canon).hexdigest() == (
+        "a42b7a199c5c55345779b0ece47c0a054adeff9c94d41ebab188319c1f29c978"
+    )
+
+
+def test_cache_is_rewritten_only_when_the_memo_grows(tmp_path):
+    path = str(tmp_path / "cache.json")
+    cert = certify(L(9, 0, 11, 3), cache_path=path)
+    before = os.stat(path)
+    # the same system, then one of its subsystems: both answered from the cache
+    certify(L(9, 0, 11, 3), cache_path=path)
+    certify(L(*cert.tree["subsystems"][0]["system"]), cache_path=path)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    certify(L(12, 0, 13, 3), cache_path=path)
+    assert os.stat(path).st_ino != before.st_ino  # replaced by a new file
