@@ -22,7 +22,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from typing import Iterator, Optional
 
 from . import classifier
@@ -95,7 +95,7 @@ def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tupl
         (d, d - k + 1, b, m),
     )
     v = lattice_virtual_dim(d, m0, n, m)
-    vP, vF, vhatP, vhatF = (lattice_virtual_dim(*t) for t in subs)
+    vP, vF, vhatP, vhatF = starmap(lattice_virtual_dim, subs)
     if vP + vF != v + d - k or vhatP + vF != v - 1 or vP + vhatF != v - 1:
         raise SoundnessError(
             f"split identities fail for (k,b)=({k},{b}) on L({d},{m0},{n},{m}): "
