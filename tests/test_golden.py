@@ -6,8 +6,11 @@ consolidated, so any change to a dimension, a status, a certifier outcome
 or an enumeration row shows up here.  The certifier tree digest was
 recorded before the certifier's recursion was rewritten on tuples: it also
 pins every split chosen, every subsystem summary and every base-case
-certificate.  On a mismatch the message names the
-box and prints the histogram of one column (the status, where there is one).
+certificate.  The decomposition digest was recorded before the (-1)-curve
+candidates became configurations: it pins every fixed part's label, total,
+multiplicity and curve count, in order, and the classifier's certificate.
+On a mismatch the message names the box and prints the histogram of one
+column (the status, where there is one).
 """
 
 import hashlib
@@ -21,8 +24,8 @@ from qhplane.core import L
 from qhplane.degeneration import Certifier
 
 
-def _box(m_values):
-    for d in range(21):
+def _box(m_values, d_max=20):
+    for d in range(d_max + 1):
         for m0 in range(d + 2):
             for n in range(21):
                 for m in m_values:
@@ -49,6 +52,19 @@ def certifier_rows():
 def certifier_tree_rows():
     cf = Certifier()
     return [cf.certify(L(*cell)).to_dict() for cell in _box(range(1, 4))]
+
+
+def decomposition_rows():
+    rows = []
+    for cell in _box(range(1, 9), d_max=30):
+        system = L(*cell)
+        found = minus_one.find_special_decomposition(system)
+        rows.append([
+            *cell,
+            found.to_dict() if found else None,
+            classifier.dimension(system).certificate,
+        ])
+    return rows
 
 
 def configuration_rows():
@@ -81,6 +97,10 @@ def _histogram_of(column):
     return lambda rows: Counter(getattr(row[column], "value", row[column]) for row in rows)
 
 
+def _fixed_parts_histogram(rows):
+    return Counter(len(row[4]["fixed_parts"]) if row[4] else 0 for row in rows)
+
+
 def _flat_histogram(rows):
     return Counter(str(row[-1]) for per_k in rows for row in per_k)
 
@@ -108,6 +128,12 @@ GOLDEN = [
         certifier_tree_rows,
         "efefa7b8104d67373ff040553ab1c2fce07c5fbd014accdb2559b8e9eb5d5280",
         _histogram_of("outcome"),
+    ),
+    (
+        "decompositions d<=30 m<=8",
+        decomposition_rows,
+        "3420cccc5c06348ad61ce014460ff9b679618a2ffbaaea815adf33d7464982ac",
+        _fixed_parts_histogram,
     ),
     (
         "configurations m_max<=17",
