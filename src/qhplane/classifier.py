@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from .core import (
     DimensionResult,
     QuasiHomogeneousSystem,
+    SoundnessError,
     Status,
     expected_dim,
     proved,
@@ -121,10 +122,13 @@ def lookup_special_table(
     if not hits:
         return None
     values = {got for _, got in hits}
-    assert len(values) == 1, f"table families disagree on {L}: {hits}"
+    if len(values) != 1:
+        raise SoundnessError(f"table families disagree on {L}: {hits}")
     (v, l) = values.pop()
-    assert v == virtual_dim(L), f"table v mismatch for {L}"
-    assert l > expected_dim(L), f"table entry for {L} is not special"
+    if v != virtual_dim(L):
+        raise SoundnessError(f"table v mismatch for {L}")
+    if l <= expected_dim(L):
+        raise SoundnessError(f"table entry for {L} is not special")
     match = TableMatch(v=v, l=l, families=[name for name, _ in hits])
     if with_decomposition:
         match.decomposition = find_special_decomposition(L)
@@ -143,7 +147,7 @@ def proved_base_case(L: QuasiHomogeneousSystem) -> Optional[DimensionResult]:
         match = lookup_special_table(L, with_decomposition=False)
         if match is not None:
             return proved(L, match.l, {"table": match.families, "v": match.v})
-    if m0 >= d - m - 1 or m0 > d or m > d:
+    if m0 >= d - m - 1:
         return dim_large_m0(L)
     return None
 

@@ -35,6 +35,14 @@ class Status(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+class SoundnessError(AssertionError):
+    """Raised when a soundness check fails: an identity every answer leans
+    on (the genus bookkeeping, the split arithmetic, the fixed-part
+    accounting), the special table's consistency, or semicontinuity.  Never
+    expected; it means a bug, or input dimensions (a cache entry, say) that
+    are false.  An exception, not an assert, so it also runs under -O."""
+
+
 @dataclass(frozen=True)
 class QuasiHomogeneousSystem:
     """The 4-tuple (d, m0, n, m) naming a system L(d, m0, n, m).
@@ -129,14 +137,15 @@ def invariants(L: QuasiHomogeneousSystem) -> SystemInvariants:
     """Virtual and expected dimension, self-intersection and arithmetic genus.
 
     The degree-genus bookkeeping satisfies v = L^2 - g + 1 exactly; this is
-    asserted because every other module leans on it.
+    checked, raising SoundnessError, because every other module leans on it.
     """
     d, m0, n, m = L.as_tuple()
     v = virtual_dim(L)
     self_int = d * d - m0 * m0 - n * m * m
     # d(d-3), m0(m0-1), m(m-1) are all even, so the division is exact.
     genus = (d * (d - 3) - m0 * (m0 - 1) - n * m * (m - 1)) // 2 + 1
-    assert v == self_int - genus + 1
+    if v != self_int - genus + 1:
+        raise SoundnessError(f"v != L^2 - g + 1 for {L}")
     return SystemInvariants(v=v, e=max(-1, v), self_int=self_int, genus=genus)
 
 

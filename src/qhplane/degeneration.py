@@ -29,6 +29,7 @@ from . import classifier
 from .core import (
     MAX_INPUT,
     QuasiHomogeneousSystem,
+    SoundnessError,
     Status,
     canonical_key,
     expected_dim,
@@ -39,12 +40,6 @@ from .core import L as _L
 
 class BudgetExceeded(RuntimeError):
     """Raised when the certifier's node budget is exhausted."""
-
-
-class SoundnessError(AssertionError):
-    """Raised when a soundness check of a degeneration fails: the split
-    arithmetic, the limit formulas or semicontinuity.  Never expected; it
-    means a bug, or subsystem dimensions (a cache entry, say) that are false."""
 
 
 CACHE_VERSION = 1

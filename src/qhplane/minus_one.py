@@ -9,17 +9,20 @@ permutation of the n points give the compound configurations; one
 Diophantine scan (`_minus_one_curves`) finds their members.  A system
 meeting such a curve to order -N <= -2 contains it N times in its base
 locus and is therefore special; `find_special_decomposition` searches for
-that situation.
+that situation, with the configurations on the system's n points as the
+candidate fixed parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
 from .core import (
     QuasiHomogeneousSystem,
+    SoundnessError,
     intersect,
     invariants,
     lattice_virtual_dim,
@@ -54,6 +57,9 @@ class MinusOneConfiguration:
     mu2: int
     n: int
     count: int = -1  # defaults to n (orbit case)
+    # The system of the whole union, built once: the decomposition search
+    # reads it in its inner loop.
+    total: QuasiHomogeneousSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.count == -1:
@@ -62,25 +68,31 @@ class MinusOneConfiguration:
             raise ValueError("count must be 1 or n")
         if self.count == 1 and self.mu1 != self.mu2:
             raise ValueError("a single curve has one multiplicity at the n points")
+        if self.count == 1:
+            total = _L(self.delta, self.mu0, self.n, self.mu1)
+        else:
+            n = self.n
+            total = _L(n * self.delta, n * self.mu0, n, self.mu1 + (n - 1) * self.mu2)
+        object.__setattr__(self, "total", total)
 
     @property
     def curve(self) -> tuple[int, int, int, int]:
         return (self.delta, self.mu0, self.mu1, self.mu2)
 
     @property
-    def total(self) -> QuasiHomogeneousSystem:
-        if self.count == 1:
-            return _L(self.delta, self.mu0, self.n, self.mu1)
-        return _L(
-            self.n * self.delta,
-            self.n * self.mu0,
-            self.n,
-            self.mu1 + (self.n - 1) * self.mu2,
-        )
-
-    @property
     def compound(self) -> bool:
         return self.count >= 2
+
+    @property
+    def label(self) -> str:
+        if not self.compound:
+            return str(self.total)
+        return f"orbit({self.delta};{self.mu0},{self.mu1},{self.mu2}^{self.n - 1})"
+
+    def member_intersection(self, d: int, m0: int, m: int) -> int:
+        """Intersection of one member with the class (d; m0, m^n)."""
+        n_mult = self.mu1 + (self.n - 1) * self.mu2
+        return d * self.delta - m0 * self.mu0 - m * n_mult
 
     def member_sequence(self) -> MultiplicitySequence:
         return MultiplicitySequence(
@@ -120,18 +132,12 @@ def _hyperbola_class(m: int, x: int, y: int) -> MinusOneClass:
     return MinusOneClass(_L(d, m0, n, m), family="Hyperbola", witness=(x, y))
 
 
+@lru_cache(maxsize=256)
 def enumerate_qh_classes(
     m_max: int, e_max: int = DEFAULT_E_MAX
-) -> list[MinusOneClass]:
+) -> tuple[MinusOneClass, ...]:
     """All quasi-homogeneous (-1)-classes with m <= m_max; the infinite
     pencil family (e, e-1, 2e, 1) is truncated at e_max."""
-    return list(_enumerate_qh_classes_cached(m_max, e_max))
-
-
-@lru_cache(maxsize=256)
-def _enumerate_qh_classes_cached(
-    m_max: int, e_max: int
-) -> tuple[MinusOneClass, ...]:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     classes = [
@@ -147,7 +153,8 @@ def _enumerate_qh_classes_cached(
             classes.append(_hyperbola_class(m, x, y))
     classes.sort(key=lambda c: (c.system.m, c.system.d, c.system.m0))
     for c in classes:
-        assert _is_minus_one_class(c.system), c
+        if not _is_minus_one_class(c.system):
+            raise SoundnessError(f"{c} is not a (-1)-class")
     return tuple(classes)
 
 
@@ -189,17 +196,11 @@ def _minus_one_curves(delta: int):
                 yield mu0, mu1, mu2, n
 
 
+@lru_cache(maxsize=256)
 def enumerate_configurations(
     m_max: int,
     delta_max: Optional[int] = None,
     e_max: int = DEFAULT_E_MAX,
-) -> list[MinusOneConfiguration]:
-    return list(_enumerate_configurations_cached(m_max, delta_max, e_max))
-
-
-@lru_cache(maxsize=256)
-def _enumerate_configurations_cached(
-    m_max: int, delta_max: Optional[int], e_max: int
 ) -> tuple[MinusOneConfiguration, ...]:
     """Quasi-homogeneous (-1)-configurations with total multiplicity
     m = mu1 + (n-1) mu2 <= m_max.
@@ -226,30 +227,17 @@ def _enumerate_configurations_cached(
     found += [MinusOneConfiguration(1, 1, 1, 0, n=e) for e in range(2, e_max + 1)]
     for delta in range(1, delta_max + 1):
         for mu0, mu1, mu2, n in _minus_one_curves(delta):
-            if mu1 + (n - 1) * mu2 > m_max:
+            # The only n = 2 solution is (1; 1, 0, 1), the two lines through
+            # p0 with the mu1 / mu2 roles swapped: the family above already
+            # has that orbit as (1; 1, 1, 0), and only when e_max >= 2.
+            if n == 2 or mu1 + (n - 1) * mu2 > m_max:
                 continue
             cfg = MinusOneConfiguration(delta, mu0, mu1, mu2, n)
             # The member must be an actual curve.
             if reduces_to_line(cfg.member_sequence())[0]:
                 found.append(cfg)
-    # The same orbit can arise with the mu1 / mu2 roles swapped (n = 2);
-    # keep one representative per member-multiplicity multiset.
-    seen: set = set()
-    unique: list[MinusOneConfiguration] = []
-    for cfg in found:
-        key = (
-            cfg.count,
-            cfg.n,
-            cfg.delta,
-            cfg.mu0,
-            tuple(sorted((cfg.mu1,) + (cfg.mu2,) * max(cfg.n - 1, 0))),
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(cfg)
-    unique.sort(key=lambda c: (c.total.m, c.total.d, c.total.m0, c.n))
-    return tuple(unique)
+    found.sort(key=lambda c: (c.total.m, c.total.d, c.total.m0, c.n))
+    return tuple(found)
 
 
 @lru_cache(maxsize=256)
@@ -307,27 +295,9 @@ def _blocking_class(L: QuasiHomogeneousSystem) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A (-1)-curve orbit usable as a fixed part of L: either a single
-    quasi-homogeneous class on all n points, or a configuration orbit."""
-
-    kind: str  # "class" | "configuration"
-    total: QuasiHomogeneousSystem
-    label: str
-    member_mults: tuple[int, int, int]  # (mu0, mu1, mu2) of one member
-    delta: int
-    count: int  # curves in the orbit: 1 for a class, n for a configuration
-
-    def member_intersection(self, d: int, m0: int, m: int) -> int:
-        mu0, mu1, mu2 = self.member_mults
-        n = self.total.n
-        return d * self.delta - m0 * mu0 - m * (mu1 + (n - 1) * mu2)
-
-
 @dataclass
 class SpecialDecomposition:
-    fixed_parts: list[tuple[_Candidate, int]]
+    fixed_parts: list[tuple[MinusOneConfiguration, int]]
     residual: tuple[int, int, int, int]  # lattice data; entries may be negative
     residual_v: int
 
@@ -346,76 +316,45 @@ class SpecialDecomposition:
         }
 
 
-def candidates_for(L: QuasiHomogeneousSystem, e_max: int = DEFAULT_E_MAX) -> list[_Candidate]:
-    """The (-1)-curve orbits on exactly the n points of L: irreducible
-    quasi-homogeneous classes with the same n, plus configuration orbits of
-    n members."""
-    return list(_candidates_cached(L.n, L.m, e_max))
+def candidates_for(
+    L: QuasiHomogeneousSystem, e_max: int = DEFAULT_E_MAX
+) -> tuple[MinusOneConfiguration, ...]:
+    """The (-1)-curve orbits on exactly the n points of L: the irreducible
+    single curves first, then the compound orbits."""
+    return _candidates_cached(L.n, L.m, e_max)
 
 
 @lru_cache(maxsize=4096)
-def _candidates_cached(n: int, m: int, e_max: int) -> tuple[_Candidate, ...]:
-    if n == 0:
-        return ()
-    out: list[_Candidate] = []
-    for c in enumerate_qh_classes(m_max=max(1, m), e_max=max(e_max, n)):
-        s = c.system
-        if s.n != n:
-            continue
-        if not reduces_to_line(sequence_of(s))[0]:
-            continue
-        out.append(
-            _Candidate(
-                kind="class",
-                total=s,
-                label=str(s),
-                member_mults=(s.m0, s.m, s.m),
-                delta=s.d,
-                count=1,
-            )
-        )
-    for cfg in enumerate_configurations(
-        m_max=max(1, m), e_max=max(e_max, n)
-    ):
-        if cfg.n != n or not cfg.compound:
-            continue
-        out.append(
-            _Candidate(
-                kind="configuration",
-                total=cfg.total,
-                label=f"orbit({cfg.delta};{cfg.mu0},{cfg.mu1},{cfg.mu2}^{n - 1})",
-                member_mults=(cfg.mu0, cfg.mu1, cfg.mu2),
-                delta=cfg.delta,
-                count=cfg.count,
-            )
-        )
-    return tuple(out)
+def _candidates_cached(n: int, m: int, e_max: int) -> tuple[MinusOneConfiguration, ...]:
+    configs = enumerate_configurations(m_max=max(1, m), e_max=max(e_max, n))
+    on_n = [c for c in configs if c.n == n]
+    singles = [
+        c for c in on_n if not c.compound and reduces_to_line(c.member_sequence())[0]
+    ]
+    return tuple(singles + [c for c in on_n if c.compound])
 
 
-def _pairwise_disjoint(fixed: list[tuple[_Candidate, int]], n: int) -> bool:
-    mem = [(c.delta, *c.member_mults) for c, _ in fixed]
-    for i in range(len(mem)):
-        for j in range(i + 1, len(mem)):
-            di, a0, a1, a2 = mem[i]
-            dj, b0, b1, b2 = mem[j]
-            # members placed with their mu1-points at distinct base points
-            pairing = di * dj - a0 * b0 - a1 * b2 - a2 * b1 - (n - 2) * a2 * b2
-            if pairing != 0:
-                return False
-    return True
+def _pairwise_disjoint(fixed: list[tuple[MinusOneConfiguration, int]], n: int) -> bool:
+    # members placed with their mu1-points at distinct base points
+    return all(
+        di * dj - a0 * b0 - a1 * b2 - a2 * b1 - (n - 2) * a2 * b2 == 0
+        for (di, a0, a1, a2), (dj, b0, b1, b2) in combinations(
+            [c.curve for c, _ in fixed], 2
+        )
+    )
 
 
 def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDecomposition]:
     """Fixed-part decomposition L = sum N_j A_j + M with some N_j >= 2,
     v(M) >= 0, and M meeting the enumerated curves non-negatively; None if
     no enumerated curve orbit meets L to order <= -2."""
-    classes = candidates_for(L)
+    candidates = candidates_for(L)
     d, m0, n, m = L.as_tuple()
     fixed: dict[int, int] = {}
     changed = True
     while changed:
         changed = False
-        for idx, cand in enumerate(classes):
+        for idx, cand in enumerate(candidates):
             t = cand.member_intersection(d, m0, m)
             if t <= -2:
                 N = -t
@@ -429,7 +368,7 @@ def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDec
                 changed = True
     if not fixed:
         return None
-    parts = [(classes[i], N) for i, N in fixed.items()]
+    parts = [(candidates[i], N) for i, N in fixed.items()]
     if not _pairwise_disjoint(parts, n):
         return None
     res_v = lattice_virtual_dim(d, m0, n, m)
@@ -437,15 +376,12 @@ def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDec
         return None
     # Residual may keep simple (-1)-curves in its base locus; it must not
     # meet any enumerated curve to order <= -2.
-    for cand in classes:
+    for cand in candidates:
         if cand.member_intersection(d, m0, m) <= -2:
             return None
-    decomp = SpecialDecomposition(
-        fixed_parts=parts, residual=(d, m0, n, m), residual_v=res_v
-    )
     # Fixed-part accounting (residual v minus system v) is exact; the sum
     # runs over individual curves, so an orbit contributes once per member.
-    assert res_v - virtual_dim(L) == sum(
-        c.count * N * (N - 1) // 2 for c, N in parts
-    )
-    return decomp
+    if res_v - virtual_dim(L) != sum(c.count * N * (N - 1) // 2 for c, N in parts):
+        labels = [(c.label, N) for c, N in parts]
+        raise SoundnessError(f"fixed-part accounting fails for {L}: {labels}")
+    return SpecialDecomposition(fixed_parts=parts, residual=(d, m0, n, m), residual_v=res_v)

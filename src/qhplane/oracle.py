@@ -29,7 +29,7 @@ are limited to p <= 2^31 - 1 so that products of two residues fit in int64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -166,16 +166,6 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-MultsLike = Union[QuasiHomogeneousSystem, tuple[int, Sequence[int]]]
-
-
-def _as_degree_mults(system: MultsLike) -> tuple[int, list[int]]:
-    if isinstance(system, QuasiHomogeneousSystem):
-        return system.d, system.multiplicities()
-    d, mults = system
-    return d, list(mults)
-
-
 def measure_dim_mults(
     d: int,
     mults: Sequence[int],
@@ -229,10 +219,9 @@ def measure_dim_mults(
 
 
 def measure_dim(
-    system: MultsLike, cfg: OracleConfig = DEFAULT_CONFIG
+    system: QuasiHomogeneousSystem, cfg: OracleConfig = DEFAULT_CONFIG
 ) -> DimensionResult:
-    d, mults = _as_degree_mults(system)
-    dim = measure_dim_mults(d, mults, cfg)
+    dim = measure_dim_mults(system.d, system.multiplicities(), cfg)
     return DimensionResult(
         dim=dim,
         status=Status.ORACLE_MEASURED,

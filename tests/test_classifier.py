@@ -1,12 +1,14 @@
 import pytest
 
+from qhplane import classifier
 from qhplane.classifier import (
     SPECIAL_TABLE,
+    SpecialTableEntry,
     dimension,
     is_special,
     lookup_special_table,
 )
-from qhplane.core import L, Status, expected_dim, virtual_dim
+from qhplane.core import L, SoundnessError, Status, expected_dim, virtual_dim
 from qhplane.cremona import dim_large_m0
 from qhplane.oracle import measure_dim
 
@@ -142,3 +144,23 @@ def test_is_special():
     assert special and res.dim == 0
     special, res = is_special(L(5, 0, 4, 2))
     assert not special
+
+
+@pytest.mark.parametrize(
+    "claims, message",
+    [
+        ([(-1, 0), (-1, 1)], "families disagree"),
+        ([(0, 0)], "v mismatch"),
+        ([(-1, -1)], "not special"),
+    ],
+    ids=["disagree", "v", "not-special"],
+)
+def test_table_checks_raise_soundness_error(monkeypatch, claims, message):
+    # forged families matching L(4,0,5,2) (v = -1, e = -1) with these (v, l)
+    table = [
+        SpecialTableEntry(f"forged{i}", lambda d, m0, n, m, got=got: got)
+        for i, got in enumerate(claims)
+    ]
+    monkeypatch.setattr(classifier, "SPECIAL_TABLE", table)
+    with pytest.raises(SoundnessError, match=message):
+        lookup_special_table(L(4, 0, 5, 2))

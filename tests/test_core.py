@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qhplane import core
 from qhplane.core import (
     L,
     QuasiHomogeneousSystem,
+    SoundnessError,
     expected_dim,
     intersect,
     invariants,
@@ -30,10 +32,19 @@ def test_virtual_dim_formula():
 
 @given(systems)
 def test_invariants_identity(sys_):
-    # v = L^2 - g + 1 (asserted inside invariants as well)
+    # v = L^2 - g + 1 (checked inside invariants as well)
     inv = invariants(sys_)
     assert inv.v == inv.self_int - inv.genus + 1
     assert inv.e == max(-1, inv.v)
+
+
+def test_invariants_raise_soundness_error(monkeypatch):
+    # a virtual dimension off by one breaks v = L^2 - g + 1
+    monkeypatch.setattr(
+        core, "virtual_dim", lambda s: core.lattice_virtual_dim(*s.as_tuple()) + 1
+    )
+    with pytest.raises(SoundnessError, match=r"L\^2 - g \+ 1"):
+        invariants(L(6, 3, 7, 2))
 
 
 def test_self_intersection_and_genus():

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhplane.core import L, invariants, virtual_dim
+from qhplane import core, minus_one
+from qhplane.core import L, SoundnessError, invariants, virtual_dim
 from qhplane.minus_one import (
     MinusOneClass,
+    MinusOneConfiguration,
     candidates_for,
     enumerate_configurations,
     enumerate_homogeneous_classes,
@@ -51,6 +53,13 @@ def test_sorted_by_m_then_d():
     cs = enumerate_qh_classes(7)
     keys = [(c.system.m, c.system.d) for c in cs]
     assert keys == sorted(keys)
+
+
+def test_class_check_raises_soundness_error(monkeypatch):
+    monkeypatch.setattr(minus_one, "_is_minus_one_class", lambda system: False)
+    enumerate_qh_classes.cache_clear()
+    with pytest.raises(SoundnessError, match=r"is not a \(-1\)-class"):
+        enumerate_qh_classes(3)
 
 
 def test_rejects_bad_m_max():
@@ -197,6 +206,21 @@ def test_homogeneous_configurations():
     }
 
 
+def test_two_lines_orbit_truncated_by_e_max():
+    # On three points (p0 and two more) the only (-1)-curves are the
+    # exceptional curves and the lines, so the one compound orbit on n = 2
+    # is the two lines through p0: a member of the e_max-truncated family,
+    # always spelled (1; 1, 1, 0).
+    for m_max in (2, 10):
+        for e_max in range(1, 5):
+            on_two = [
+                c.curve
+                for c in enumerate_configurations(m_max, e_max=e_max)
+                if c.compound and c.n == 2
+            ]
+            assert on_two == ([(1, 1, 1, 0)] if e_max >= 2 else []), (m_max, e_max)
+
+
 def test_three_lines_configuration():
     # L(3,0,3,2): each of the 3 points lies on 2 of the 3 lines
     cfgs = [
@@ -288,5 +312,21 @@ def test_decomposition_agrees_with_oracle():
 
 
 def test_candidates_cover_both_kinds():
-    kinds = {c.kind for c in candidates_for(L(6, 0, 5, 3))}
-    assert kinds == {"class", "configuration"}
+    kinds = {c.compound for c in candidates_for(L(6, 0, 5, 3))}
+    assert kinds == {False, True}
+
+
+def test_candidates_are_configurations_singles_first():
+    cands = candidates_for(L(6, 0, 5, 3))
+    assert all(isinstance(c, MinusOneConfiguration) and c.n == 5 for c in cands)
+    compound = [c.compound for c in cands]
+    assert compound == sorted(compound)
+    assert cands is candidates_for(L(9, 2, 5, 3))  # the cached tuple itself
+    labels = {c.label for c in cands}
+    assert {"L(2,0,5,1)", "orbit(1;1,1,0^4)"} <= labels
+
+
+def test_fixed_part_accounting_raises_soundness_error(monkeypatch):
+    monkeypatch.setattr(minus_one, "virtual_dim", lambda s: core.virtual_dim(s) + 1)
+    with pytest.raises(SoundnessError, match="fixed-part accounting"):
+        find_special_decomposition(L(4, 2, 2, 3))
