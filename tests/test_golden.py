@@ -9,6 +9,9 @@ pins every split chosen, every subsystem summary and every base-case
 certificate.  The decomposition digest was recorded before the (-1)-curve
 candidates became configurations: it pins every fixed part's label, total,
 multiplicity and curve count, in order, and the classifier's certificate.
+The irreducibility digest was recorded before the Cremona reduction lost
+its step cap and its state strings: it pins every class's verdict, pivot
+sequence, failure reasons and blocking class.
 On a mismatch the message names the box and prints the histogram of one
 column (the status, where there is one).
 """
@@ -85,6 +88,21 @@ def class_rows():
     ]
 
 
+def irreducibility_rows():
+    rows = []
+    for c in minus_one.enumerate_qh_classes(150):
+        ok, cert = minus_one.is_irreducible_class(c)
+        trace = cert["trace"]
+        rows.append([
+            *c.system.as_tuple(),
+            ok,
+            [list(step["pivot"]) for step in trace if "pivot" in step],
+            [step["fail"] for step in trace if "fail" in step],
+            cert.get("blocking_class"),
+        ])
+    return rows
+
+
 def hyperbola_rows():
     return [
         [m, [list(p) for p in minus_one.hyperbola_solutions(m)]]
@@ -146,6 +164,12 @@ GOLDEN = [
         class_rows,
         "043a343d7445181054825b8cbf0db2f72f9e52d89001c55c8af69919e7c2f911",
         _histogram_of(6),
+    ),
+    (
+        "irreducibility m<=150",
+        irreducibility_rows,
+        "1462bdff75d7c6e191536d03f68c04e7795d8e4d5c2572e572740fc30a2dd7a1",
+        _histogram_of(4),
     ),
     (
         "hyperbola m<=300",
