@@ -128,9 +128,7 @@ def cmd_enumerate(args) -> int:
                 c.total.d, c.total.m0, c.total.n, c.total.m,
                 c.delta, c.mu0, c.mu1, c.mu2, c.compound,
             )
-            for c in minus_one.enumerate_configurations(
-                args.m_max, delta_max=args.delta_max, e_max=args.e_max
-            )
+            for c in minus_one.enumerate_configurations(args.m_max, e_max=args.e_max)
         ]
         header = ("d", "m0", "n", "m", "delta", "mu0", "mu1", "mu2", "compound")
     else:
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="(-1)-classes or configurations")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--configurations", action="store_true")
-    p.add_argument("--delta-max", type=int, default=None)
     p.add_argument("--e-max", type=int, default=minus_one.DEFAULT_E_MAX)
     _format_flag(p)
     p.set_defaults(func=cmd_enumerate)

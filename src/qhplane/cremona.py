@@ -39,11 +39,6 @@ class MultiplicitySequence:
     def is_effective(self) -> bool:
         return self.degree >= 0 and all(m >= 0 for m in self.mults)
 
-    def virtual_dim(self) -> int:
-        return self.degree * (self.degree + 3) // 2 - sum(
-            m * (m + 1) // 2 for m in self.mults
-        )
-
     def dropped_zeros(self) -> "MultiplicitySequence":
         return replace(self, mults=tuple(m for m in self.mults if m != 0))
 
@@ -73,19 +68,20 @@ def quadratic_transform(
     return MultiplicitySequence(degree=2 * d - mi - mj - mk, mults=tuple(mults))
 
 
-def reduces_to_line(
-    s: MultiplicitySequence, max_steps: int = 10_000
-) -> tuple[bool, list[dict]]:
+def reduces_to_line(s: MultiplicitySequence) -> tuple[bool, list[dict]]:
     """Greedy Cremona reduction towards the line through two points (1; 1, 1).
 
     Pivots on the three largest multiplicities, ties broken by index.
     Succeeds iff the reduction reaches (1; 1, 1) through states with
     non-negative entries and strictly decreasing degree; used as the
-    numerical irreducibility criterion for (-1)-classes.
+    numerical irreducibility criterion for (-1)-classes.  A step's trace
+    entry is its pivot into the state with zeros dropped, padded to three
+    entries; a failure entry names its state.  Each pass returns or lowers
+    the degree, which stays positive, so the loop ends within s.degree passes.
     """
     trace: list[dict] = []
     cur = s.dropped_zeros()
-    for _ in range(max_steps):
+    while True:
         if cur.degree == 1 and sorted(cur.mults) == [1, 1]:
             return True, trace
         if cur.degree < 1 or any(m < 0 for m in cur.mults):
@@ -100,12 +96,11 @@ def reduces_to_line(
         if nxt.degree >= cur.degree:
             trace.append({"state": str(cur), "fail": "degree does not decrease"})
             return False, trace
-        trace.append({"state": str(cur), "pivot": (i, j, k), "to": str(nxt)})
+        trace.append({"pivot": (i, j, k)})
         if nxt.degree < 1 or any(m < 0 for m in nxt.mults):
             trace.append({"state": str(nxt), "fail": "negative entry"})
             return False, trace
         cur = nxt.dropped_zeros()
-    return False, trace + [{"fail": "step limit"}]
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> in
 
 @dataclass
 class Certificate:
-    system: QuasiHomogeneousSystem
+    system: tuple[int, int, int, int]  # (d, m0, n, m)
     # EMPTY_PROVED | NON_SPECIAL_PROVED | INCONCLUSIVE; a str Enum, so json
     # writes its value
     outcome: Status
@@ -149,30 +149,9 @@ class Certificate:
         return {**_summary(self), "tree": self.tree}
 
 
-class _CachedCertificate(Certificate):
-    """The certificate a cache entry claims for the system keyed `key`.
-
-    Its system object is built on first use: most loaded entries are never
-    summarised in a tree, and building a validated system costs more than
-    the rest of an entry's load."""
-
-    def __init__(self, key: tuple, outcome: Status, dim: Optional[int]):
-        self._key = key
-        self._system = None
-        self.outcome = outcome
-        self.dim = dim
-        self.tree = {"cached": True}
-
-    @property
-    def system(self) -> QuasiHomogeneousSystem:
-        if self._system is None:
-            self._system = _L(*self._key)
-        return self._system
-
-
 def _summary(cert: Certificate) -> dict:
     return {
-        "system": cert.system.as_tuple(),
+        "system": cert.system,
         "outcome": cert.outcome,
         "dim": cert.dim,
     }
@@ -273,7 +252,7 @@ class Certifier:
             # certifier does not certify; the dimension stays usable by
             # callers needing subsystem dimensions.
             outcome = Status.INCONCLUSIVE
-        return Certificate(system=L, outcome=outcome, dim=dim, tree=via)
+        return Certificate(system=L.as_tuple(), outcome=outcome, dim=dim, tree=via)
 
     def _certify_uncached(self, L: QuasiHomogeneousSystem) -> Certificate:
         base = classifier.proved_base_case(L)
@@ -313,7 +292,7 @@ class Certifier:
                     },
                 )
         return Certificate(
-            system=L, outcome=Status.INCONCLUSIVE, dim=None, tree={"attempts": attempts}
+            (d, m0, n, m), Status.INCONCLUSIVE, dim=None, tree={"attempts": attempts}
         )
 
 
@@ -396,7 +375,7 @@ def _cached_certificate(key: str, entry: dict) -> tuple[tuple, Certificate]:
         consistent = dim > max(-1, lattice_virtual_dim(*tup))
     if not consistent:
         raise ValueError(f"outcome {word} contradicts dim {dim!r}")
-    return tup, _CachedCertificate(tup, outcome, dim)
+    return tup, Certificate(tup, outcome, dim, {"cached": True})
 
 
 def certify(

@@ -158,11 +158,6 @@ def enumerate_qh_classes(
     return tuple(classes)
 
 
-def enumerate_homogeneous_classes() -> list[QuasiHomogeneousSystem]:
-    """The homogeneous (-1)-classes, in their m0 = 0 normal form."""
-    return [_L(1, 0, 2, 1), _L(2, 0, 5, 1)]
-
-
 def homogeneous_form(L: QuasiHomogeneousSystem) -> Optional[QuasiHomogeneousSystem]:
     """m0 = 0 normal form of L if it is homogeneous (m0 = 0 or m0 = m)."""
     if L.m0 == 0:
@@ -198,9 +193,7 @@ def _minus_one_curves(delta: int):
 
 @lru_cache(maxsize=256)
 def enumerate_configurations(
-    m_max: int,
-    delta_max: Optional[int] = None,
-    e_max: int = DEFAULT_E_MAX,
+    m_max: int, e_max: int = DEFAULT_E_MAX
 ) -> tuple[MinusOneConfiguration, ...]:
     """Quasi-homogeneous (-1)-configurations with total multiplicity
     m = mu1 + (n-1) mu2 <= m_max.
@@ -214,8 +207,6 @@ def enumerate_configurations(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if delta_max is None:
-        delta_max = _auto_delta_max(m_max)
     found: list[MinusOneConfiguration] = []
     # Single-curve configurations.
     for c in enumerate_qh_classes(m_max, e_max=e_max):
@@ -225,7 +216,8 @@ def enumerate_configurations(
         )
     # The lines-through-p0 family (delta, mu0, mu1, mu2) = (1, 1, 1, 0).
     found += [MinusOneConfiguration(1, 1, 1, 0, n=e) for e in range(2, e_max + 1)]
-    for delta in range(1, delta_max + 1):
+    # Genus 0 gives 3 delta - mu0 - m = 1 and mu0 <= delta, so m >= 2 delta - 1.
+    for delta in range(1, (m_max + 1) // 2 + 1):
         for mu0, mu1, mu2, n in _minus_one_curves(delta):
             # The only n = 2 solution is (1; 1, 0, 1), the two lines through
             # p0 with the mu1 / mu2 roles swapped: the family above already
@@ -238,22 +230,6 @@ def enumerate_configurations(
                 found.append(cfg)
     found.sort(key=lambda c: (c.total.m, c.total.d, c.total.m0, c.n))
     return tuple(found)
-
-
-@lru_cache(maxsize=256)
-def _auto_delta_max(m_max: int) -> int:
-    """Smallest search bound such that no new solution appears for three
-    consecutive values of delta."""
-    delta = 0
-    quiet = 0
-    while quiet < 3:
-        delta += 1
-        hit = any(
-            mu1 + (n - 1) * mu2 <= m_max
-            for _, mu1, mu2, n in _minus_one_curves(delta)
-        )
-        quiet = 0 if hit else quiet + 1
-    return delta
 
 
 def is_irreducible_class(c: MinusOneClass) -> tuple[bool, dict]:
@@ -301,9 +277,6 @@ class SpecialDecomposition:
     residual: tuple[int, int, int, int]  # lattice data; entries may be negative
     residual_v: int
 
-    def max_N(self) -> int:
-        return max(N for _, N in self.fixed_parts)
-
     def to_dict(self) -> dict:
         return {
             "fixed_parts": [
@@ -316,17 +289,15 @@ class SpecialDecomposition:
         }
 
 
-def candidates_for(
-    L: QuasiHomogeneousSystem, e_max: int = DEFAULT_E_MAX
-) -> tuple[MinusOneConfiguration, ...]:
+def candidates_for(L: QuasiHomogeneousSystem) -> tuple[MinusOneConfiguration, ...]:
     """The (-1)-curve orbits on exactly the n points of L: the irreducible
     single curves first, then the compound orbits."""
-    return _candidates_cached(L.n, L.m, e_max)
+    return _candidates_cached(L.n, L.m)
 
 
 @lru_cache(maxsize=4096)
-def _candidates_cached(n: int, m: int, e_max: int) -> tuple[MinusOneConfiguration, ...]:
-    configs = enumerate_configurations(m_max=max(1, m), e_max=max(e_max, n))
+def _candidates_cached(n: int, m: int) -> tuple[MinusOneConfiguration, ...]:
+    configs = enumerate_configurations(m_max=max(1, m), e_max=max(DEFAULT_E_MAX, n))
     on_n = [c for c in configs if c.n == n]
     singles = [
         c for c in on_n if not c.compound and reduces_to_line(c.member_sequence())[0]

@@ -59,8 +59,11 @@ def test_transform_is_involution(s):
 
 @given(sequences)
 def test_transform_preserves_virtual_dim(s):
-    t = quadratic_transform(s, 0, 1, 2)
-    assert t.virtual_dim() == s.virtual_dim()
+    def v(seq):
+        d = seq.degree
+        return d * (d + 3) // 2 - sum(m * (m + 1) // 2 for m in seq.mults)
+
+    assert v(quadratic_transform(s, 0, 1, 2)) == v(s)
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,6 +85,19 @@ def test_reduces_to_line():
     ok, trace = reduces_to_line(sequence_of(L(27, 17, 9, 7)))
     assert not ok
     assert trace[-1]["fail"]
+
+
+def test_pivots_replay_the_reduction():
+    s = sequence_of(L(56, 48, 17, 7))
+    ok, trace = reduces_to_line(s)
+    assert ok and trace
+    cur = s.dropped_zeros()
+    for step in trace:
+        padded = cur.mults + (0,) * max(0, 3 - len(cur.mults))
+        cur = quadratic_transform(
+            MultiplicitySequence(cur.degree, padded), *step["pivot"]
+        ).dropped_zeros()
+    assert cur.degree == 1 and sorted(cur.mults) == [1, 1]
 
 
 # -- closed forms -----------------------------------------------------------

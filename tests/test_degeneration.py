@@ -204,12 +204,12 @@ def test_budget_below_one_is_rejected():
             certify(L(12, 0, 13, 3), budget=budget)
 
 
-def test_cached_certificate_builds_its_system_on_use(tmp_path):
+def test_cached_certificate_holds_its_system_tuple(tmp_path):
     path = _tampered_cache(tmp_path, "4,0,5,2", {"outcome": "Inconclusive", "dim": 0})
     fresh = Certifier()
     fresh.load_cache(path)
     cert = fresh.memo[(4, 0, 5, 2)]
-    assert cert.system == L(4, 0, 5, 2)
+    assert cert.system == (4, 0, 5, 2)
     assert cert.to_dict() == {
         "system": (4, 0, 5, 2), "outcome": Status.INCONCLUSIVE, "dim": 0,
         "tree": {"cached": True},

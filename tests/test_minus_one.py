@@ -9,7 +9,6 @@ from qhplane.minus_one import (
     MinusOneConfiguration,
     candidates_for,
     enumerate_configurations,
-    enumerate_homogeneous_classes,
     enumerate_qh_classes,
     find_special_decomposition,
     homogeneous_form,
@@ -101,13 +100,6 @@ def test_hyperbola_solutions_match_trial_division():
     assert hyperbola_solutions(1) == []
 
 
-def test_homogeneous_classes():
-    got = [s.as_tuple() for s in enumerate_homogeneous_classes()]
-    assert got == [(1, 0, 2, 1), (2, 0, 5, 1)]
-    for s in enumerate_homogeneous_classes():
-        assert virtual_dim(s) == 0
-
-
 def test_homogeneous_cross_check():
     # the m0 <-> m symmetric condition finds no homogeneous class with m >= 2
     homo = set()
@@ -147,7 +139,7 @@ def test_enumeration_completeness_desk_scale():
 def test_configuration_table_m_le_10():
     compound = {
         (c.curve, c.n)
-        for c in enumerate_configurations(10, delta_max=6, e_max=4)
+        for c in enumerate_configurations(10, e_max=4)
         if c.compound and c.mu2 >= 1
     }
     assert compound == {
@@ -163,20 +155,20 @@ def test_configuration_table_m_le_10():
     # plus the family of e lines through p0
     family = {
         c.n
-        for c in enumerate_configurations(10, delta_max=6, e_max=4)
+        for c in enumerate_configurations(10, e_max=4)
         if c.compound and c.curve == (1, 1, 1, 0)
     }
     assert family == {2, 3, 4}
     totals = {
         c.total.as_tuple()
-        for c in enumerate_configurations(10, delta_max=6, e_max=4)
+        for c in enumerate_configurations(10, e_max=4)
         if c.curve == (1, 1, 1, 0)
     }
     assert {(2, 2, 2, 1), (3, 3, 3, 1), (4, 4, 4, 1)} <= totals
 
 
 def test_configuration_invariants():
-    for c in enumerate_configurations(10, delta_max=6, e_max=6):
+    for c in enumerate_configurations(10, e_max=6):
         n, delta, mu0, mu1, mu2 = c.n, c.delta, c.mu0, c.mu1, c.mu2
         # each member is a (-1)-class of genus 0
         assert delta**2 - mu0**2 - mu1**2 - (n - 1) * mu2**2 == -1
@@ -192,7 +184,7 @@ def test_configuration_invariants():
 
 def test_homogeneous_configurations():
     homo = set()
-    for c in enumerate_configurations(17, delta_max=8, e_max=3):
+    for c in enumerate_configurations(17, e_max=3):
         h = homogeneous_form(c.total)
         if h is not None:
             homo.add(h.as_tuple())
@@ -204,6 +196,14 @@ def test_homogeneous_configurations():
         (21, 0, 7, 8),
         (48, 0, 8, 17),
     }
+
+
+def test_members_meet_the_scan_bound():
+    # enumerate_configurations scans delta <= (m_max + 1) // 2 because every
+    # member of degree delta has total multiplicity m >= 2 delta - 1
+    for delta in range(1, 40):
+        for mu0, mu1, mu2, n in minus_one._minus_one_curves(delta):
+            assert mu1 + (n - 1) * mu2 >= 2 * delta - 1, (delta, mu0, mu1, mu2, n)
 
 
 def test_two_lines_orbit_truncated_by_e_max():
@@ -225,7 +225,7 @@ def test_three_lines_configuration():
     # L(3,0,3,2): each of the 3 points lies on 2 of the 3 lines
     cfgs = [
         c
-        for c in enumerate_configurations(2, delta_max=3, e_max=1)
+        for c in enumerate_configurations(2, e_max=1)
         if c.total.as_tuple() == (3, 0, 3, 2)
     ]
     assert len(cfgs) == 1
@@ -249,6 +249,16 @@ def test_line_is_irreducible():
     ok, cert = is_irreducible_class(MinusOneClass(L(1, 1, 1, 1), family="Line"))
     assert ok
     assert cert["trace"] == []
+
+
+@pytest.mark.parametrize("e", [2, 50, 500])
+def test_line_pencil_class_reduces_in_e_minus_1_steps(e):
+    # each step lowers the degree by one; no step cap cuts the reduction off
+    c = MinusOneClass(L(e, e - 1, 2 * e, 1), family="LinePencil", e=e)
+    ok, cert = is_irreducible_class(c)
+    assert ok
+    assert len(cert["trace"]) == e - 1
+    assert all(step.keys() == {"pivot"} for step in cert["trace"])
 
 
 def test_27_17_9_7_not_irreducible():
@@ -298,7 +308,7 @@ def test_decomposition_lemma_accounting():
     for sys_ in samples:
         d = find_special_decomposition(sys_)
         assert d is not None, sys_
-        assert d.max_N() >= 2
+        assert max(N for _, N in d.fixed_parts) >= 2
         assert d.residual_v >= 0
         total_curves = sum(c.count * N * (N - 1) // 2 for c, N in d.fixed_parts)
         assert d.residual_v - virtual_dim(sys_) == total_curves
