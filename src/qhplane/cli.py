@@ -196,6 +196,12 @@ def _verify_cell(cell: tuple[int, int, int, int, int, int]) -> Optional[dict]:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (
+        ("--d-max", args.d_max, 0), ("--n-max", args.n_max, 0),
+        ("--m-max", args.m_max, 1), ("--workers", args.workers, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     cells = [
         (d, m0, n, m, args.trials, args.seed)
         for d in range(0, args.d_max + 1)

@@ -42,15 +42,10 @@ class BudgetExceeded(RuntimeError):
     """Raised when the certifier's node budget is exhausted."""
 
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_ENV_VAR = "QHPLANE_CACHE"
 #: fallback (k, b) splits tried per node after the paper-guided ones
 MAX_SPLITS_PER_NODE = 400
-#: the certifier's outcomes by value; a dict lookup, because Status(value)
-#: costs about 0.3 us, a tenth of the time to load one cache entry
-_OUTCOMES = {
-    s.value: s for s in (Status.EMPTY_PROVED, Status.NON_SPECIAL_PROVED, Status.INCONCLUSIVE)
-}
 #: a cache key as the certifier writes it: four plain decimal integers
 _CACHE_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*)){3}")
 
@@ -125,6 +120,20 @@ def _limit_dim(dk: int, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
     return l0
 
 
+def _outcome(dim: Optional[int], e: int) -> Status:
+    """The certifier's outcome for a proved dim (None when unknown) of a
+    system with expected dimension e.
+
+    A proved dim above e makes the system special, which the certifier does
+    not certify: it is Inconclusive, and its dim stays usable by callers
+    needing subsystem dimensions."""
+    if dim == -1:
+        return Status.EMPTY_PROVED
+    if dim == e:
+        return Status.NON_SPECIAL_PROVED
+    return Status.INCONCLUSIVE
+
+
 def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
     """Dimension of the limit system from the four subsystem dimensions.
 
@@ -171,45 +180,52 @@ class Certifier:
         self.budget = budget
         self.nodes = 0
         self.memo: dict[tuple, Certificate] = {}
-        # the cache-file entries of the memo's first len(self._entries)
-        # keys, in memo order
-        self._entries: dict[str, dict] = {}
+        # the cache-file entries (key -> dim) of the memo's first
+        # len(self._entries) keys, in memo order
+        self._entries: dict[str, Optional[int]] = {}
 
     # -- cache persistence --------------------------------------------------
 
     def load_cache(self, path: str) -> int:
         """Load the memo entries of a cache file; returns how many were new.
 
-        Raises ValueError, naming the file and the key, on a key that is not
-        four decimal integers up to MAX_INPUT, or an entry whose outcome is
-        not a certifier outcome or whose dim contradicts it.  Every entry is
-        checked, used or not.  The entries carry no proof: a consistent
-        entry is trusted."""
+        Each entry maps a system key to its proved dim, or to null when it
+        is unknown; a file of another version is ignored.  Raises ValueError,
+        naming the file, on a file that is not a JSON object with an object
+        of entries, and, naming the key too, on a key that is not four
+        decimal integers up to MAX_INPUT or a dim that is neither null nor
+        an int at least e.  Every entry is checked, used or not.  The
+        entries carry no proof: a dim at least e is trusted."""
         if not os.path.exists(path):
             return 0
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a JSON cache file: {exc}") from None
+        if not (isinstance(data, dict) and isinstance(data.get("entries", {}), dict)):
+            raise ValueError(f"{path}: not a JSON object with an object of entries")
         if data.get("version") != CACHE_VERSION:
             return 0
         memo, entries = self.memo, self._entries
         in_step = len(entries) == len(memo)
         loaded = 0
-        for key, entry in data.get("entries", {}).items():
+        for key, dim in data.get("entries", {}).items():
             try:
-                tup, cert = _cached_certificate(key, entry)
-            except (KeyError, TypeError, ValueError) as exc:
+                tup, cert = _cached_certificate(key, dim)
+            except ValueError as exc:
                 raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
             if tup not in memo:
                 memo[tup] = cert
                 if in_step:
-                    entries[key] = {"outcome": cert.outcome, "dim": cert.dim}
+                    entries[key] = dim
                 loaded += 1
         return loaded
 
     def save_cache(self, path: str) -> None:
         entries = self._entries
         for key, c in islice(self.memo.items(), len(entries), None):
-            entries[",".join(map(str, key))] = {"outcome": c.outcome, "dim": c.dim}
+            entries[",".join(map(str, key))] = c.dim
         # json.dumps runs the C encoder; json.dump to a file does not
         text = json.dumps({"version": CACHE_VERSION, "entries": entries})
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -239,20 +255,8 @@ class Certifier:
             return hit
         return self.certify(_L(*t))
 
-    def _finish(
-        self, L: QuasiHomogeneousSystem, dim: int, via: dict
-    ) -> Certificate:
-        e = expected_dim(L)
-        if dim == -1:
-            outcome = Status.EMPTY_PROVED
-        elif dim == e:
-            outcome = Status.NON_SPECIAL_PROVED
-        else:
-            # A proven dimension above e: the system is special, which the
-            # certifier does not certify; the dimension stays usable by
-            # callers needing subsystem dimensions.
-            outcome = Status.INCONCLUSIVE
-        return Certificate(system=L.as_tuple(), outcome=outcome, dim=dim, tree=via)
+    def _finish(self, L: QuasiHomogeneousSystem, dim: Optional[int], via: dict) -> Certificate:
+        return Certificate(L.as_tuple(), _outcome(dim, expected_dim(L)), dim, via)
 
     def _certify_uncached(self, L: QuasiHomogeneousSystem) -> Certificate:
         base = classifier.proved_base_case(L)
@@ -291,9 +295,7 @@ class Certifier:
                         "subsystems": [_summary(sub) for sub in subs],
                     },
                 )
-        return Certificate(
-            (d, m0, n, m), Status.INCONCLUSIVE, dim=None, tree={"attempts": attempts}
-        )
+        return self._finish(L, None, {"attempts": attempts})
 
 
 def _candidate_splits(d: int, m0: int, n: int, m: int) -> Iterator[tuple[int, int]]:
@@ -347,35 +349,21 @@ def _balanced_b(d: int, n: int) -> Iterator[int]:
             hi += 1
 
 
-def _cached_certificate(key: str, entry: dict) -> tuple[tuple, Certificate]:
-    """The memo key and certificate a cache entry claims, checked on ints.
+def _cached_certificate(key: str, dim: object) -> tuple[tuple, Certificate]:
+    """The memo key and certificate of a cache entry key -> dim.
 
     Raises ValueError when the key is not four decimal integers up to
-    MAX_INPUT, the outcome is not a certifier outcome or the dim
-    contradicts it: EmptyProved needs -1, NonSpecialProved needs e,
-    Inconclusive needs None or a dim above e."""
+    MAX_INPUT, or the dim is neither None nor an int (not a bool) at least
+    the key's e: no dimension lies below e."""
     if _CACHE_KEY.fullmatch(key) is None:
         raise ValueError("the key is not four decimal integers")
     tup = tuple(map(int, key.split(",")))
     if max(tup) > MAX_INPUT:
         raise ValueError(f"the key exceeds the supported cap {MAX_INPUT}")
-    word, dim = entry["outcome"], entry["dim"]
-    outcome = _OUTCOMES.get(word)
-    if outcome is None:
-        raise ValueError(f"{word!r} is not a certifier outcome")
-    if dim is None:
-        consistent = outcome == Status.INCONCLUSIVE
-    elif type(dim) is not int:
-        consistent = False
-    elif outcome == Status.EMPTY_PROVED:
-        consistent = dim == -1
-    elif outcome == Status.NON_SPECIAL_PROVED:
-        consistent = dim == max(-1, lattice_virtual_dim(*tup))
-    else:
-        consistent = dim > max(-1, lattice_virtual_dim(*tup))
-    if not consistent:
-        raise ValueError(f"outcome {word} contradicts dim {dim!r}")
-    return tup, Certificate(tup, outcome, dim, {"cached": True})
+    e = max(-1, lattice_virtual_dim(*tup))
+    if dim is not None and (type(dim) is not int or dim < e):
+        raise ValueError(f"dim {dim!r} is not null or an integer at least e = {e}")
+    return tup, Certificate(tup, _outcome(dim, e), dim, {"cached": True})
 
 
 def certify(

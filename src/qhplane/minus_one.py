@@ -140,6 +140,8 @@ def enumerate_qh_classes(
     pencil family (e, e-1, 2e, 1) is truncated at e_max."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if e_max < 0:
+        raise ValueError("e_max must be >= 0")
     classes = [
         MinusOneClass(_L(1, 1, 1, 1), family="Line"),
         MinusOneClass(_L(2, 0, 5, 1), family="Conic5"),
@@ -207,6 +209,8 @@ def enumerate_configurations(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if e_max < 0:
+        raise ValueError("e_max must be >= 0")
     found: list[MinusOneConfiguration] = []
     # Single-curve configurations.
     for c in enumerate_qh_classes(m_max, e_max=e_max):

@@ -115,6 +115,11 @@ def test_usage_error_exit_2(capsys):
         (["oracle", "6", "0", "5", "3", "--prime", "4294967311"], "exceeds 2^31 - 1"),
         (["dim", "3", "0", "-1", "2"], "n must be non-negative"),
         (["certify", "12", "0", "13", "3", "--budget", "-5"], "budget must be at least 1"),
+        (["enumerate", "--m-max", "3", "--e-max", "-2"], "e_max must be >= 0"),
+        (["verify", "--d-max", "-1", "--n-max", "3"], "--d-max must be at least 0"),
+        (["verify", "--d-max", "3", "--n-max", "-1"], "--n-max must be at least 0"),
+        (["verify", "--d-max", "3", "--n-max", "3", "--m-max", "0"], "--m-max must be at least 1"),
+        (["verify", "--d-max", "3", "--n-max", "3", "--workers", "0"], "--workers must be at least 1"),
     ],
 )
 def test_invalid_value_exits_2(capsys, argv, message):
@@ -130,12 +135,39 @@ def test_certify_rejects_tampered_cache(capsys, tmp_path):
     assert main(["certify", "10", "0", "11", "3", "--cache", str(cache)]) == 0
     data = json.loads(cache.read_text())
     key = "10,0,11,3"
-    data["entries"][key] = {"outcome": "NonSpecialProved", "dim": 5}
+    data["entries"][key] = -2  # below e = -1
     cache.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["certify", "10", "0", "11", "3", "--cache", str(cache)]) == 2
     err = capsys.readouterr().err
     assert str(cache) in err and key in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"version": 2, "entries": {"10,0,5,3": -1}}', "'10,0,5,3'"),  # e is 35
+        ("[]", "not a JSON object with an object of entries"),
+        ("not json", "not a JSON cache file"),
+    ],
+    ids=["dim-below-e", "not-an-object", "not-json"],
+)
+def test_certify_rejects_untrusted_cache_file(capsys, tmp_path, text, named):
+    cache = tmp_path / "memo.json"
+    cache.write_text(text)
+    assert main(["certify", "10", "0", "5", "3", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qhplane: error: {cache}: ")
+    assert named in captured.err
+
+
+def test_verify_worker_pool_matches_serial(capsys):
+    argv = ["verify", "--d-max", "4", "--n-max", "4", "--json"]
+    serial = run(capsys, *argv, "--workers", "1")
+    pooled = run(capsys, *argv, "--workers", "2")
+    assert serial[0] == 0 and json.loads(serial[1])["cells"] > 0
+    assert pooled == serial
 
 
 def _run_module(*argv):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhplane import degeneration
-from qhplane.core import L, Status, expected_dim, virtual_dim
+from qhplane import classifier, degeneration
+from qhplane.core import L, DimensionResult, Status, expected_dim, virtual_dim
 from qhplane.degeneration import (
     MAX_SPLITS_PER_NODE,
     BudgetExceeded,
@@ -126,46 +126,59 @@ def test_memoization_and_cache_round_trip(tmp_path):
     assert fresh.nodes == 0  # answered from cache
 
 
-def _tampered_cache(tmp_path, key, entry):
+def _tampered_cache(tmp_path, key, dim):
     path = tmp_path / "cache.json"
     cf = Certifier()
     cf.certify(L(7, 0, 8, 3))
     cf.save_cache(str(path))
     data = json.loads(path.read_text())
-    data["entries"][key] = entry
+    data["entries"][key] = dim
     path.write_text(json.dumps(data))
     return str(path)
 
 
+# (key, dim) entries, or (None, the text of a malformed file)
+_UNTRUSTED = [
+    ("7,0,8,3", -2),  # below e = -1
+    ("7,0,8,3", {"outcome": "EmptyProved", "dim": -1}),  # a version-1 entry
+    ("7,0,8,3", 1.5),
+    ("7,0,8,3", "0"),
+    ("6,0,9,2", False),  # e is 0, not False
+    ("7,0,8,3", True),
+    ("4,0,5,2", -2),  # below e = -1
+    ("4,0,5,2", [0]),
+    ("4,0,-5,2", -1),  # not a system
+    ("07,0,8,3", -1),  # not as written
+    (" 7,0,8,3", -1),
+    ("7,0,8", -1),
+    ("7,0,8,3,0", -1),
+    ("1000001,0,8,3", -1),  # above MAX_INPUT
+    ("10,0,5,3", -1),  # e is 35
+    ("10,0,5,3", 34),
+    (None, "[]"),
+    (None, '{"version": 2, "entries": [1, 2]}'),
+    (None, "not json"),
+]
+
+
 @pytest.mark.parametrize(
-    "key, entry",
-    [
-        ("7,0,8,3", {"outcome": "Proved", "dim": 1}),  # unknown word
-        ("7,0,8,3", {"outcome": "SpecialProved", "dim": 2}),  # not an outcome
-        ("7,0,8,3", {"outcome": "EmptyProved", "dim": 0}),  # empty needs -1
-        ("7,0,8,3", {"outcome": "NonSpecialProved", "dim": 2}),  # e is -1
-        ("6,0,9,2", {"outcome": "NonSpecialProved", "dim": False}),  # e is 0, not False
-        ("7,0,8,3", {"outcome": "NonSpecialProved"}),  # no dim
-        ("4,0,5,2", {"outcome": "Inconclusive", "dim": -1}),  # not above e
-        ("4,0,5,2", {"outcome": "EmptyProved", "dim": None}),
-        ("4,0,-5,2", {"outcome": "EmptyProved", "dim": -1}),  # not a system
-        ("07,0,8,3", {"outcome": "EmptyProved", "dim": -1}),  # not as written
-        (" 7,0,8,3", {"outcome": "EmptyProved", "dim": -1}),
-        ("7,0,8", {"outcome": "EmptyProved", "dim": -1}),
-        ("7,0,8,3,0", {"outcome": "EmptyProved", "dim": -1}),
-        ("1000001,0,8,3", {"outcome": "EmptyProved", "dim": -1}),  # above MAX_INPUT
-    ],
+    "key, entry", _UNTRUSTED, ids=[f"{k}-entry{i}" for i, (k, _) in enumerate(_UNTRUSTED)]
 )
 def test_load_cache_rejects_tampered_entries(tmp_path, key, entry):
-    path = _tampered_cache(tmp_path, key, entry)
+    if key is None:
+        path = str(tmp_path / "cache.json")
+        with open(path, "w") as fh:
+            fh.write(entry)
+    else:
+        path = _tampered_cache(tmp_path, key, entry)
     with pytest.raises(ValueError) as exc:
         Certifier().load_cache(path)
-    assert path in str(exc.value) and repr(key) in str(exc.value)
+    assert path in str(exc.value) and (key is None or repr(key) in str(exc.value))
 
 
 def test_load_cache_accepts_consistent_entries(tmp_path):
     # e(L(4,0,5,2)) = -1; its proved dimension 0 leaves it Inconclusive.
-    path = _tampered_cache(tmp_path, "4,0,5,2", {"outcome": "Inconclusive", "dim": 0})
+    path = _tampered_cache(tmp_path, "4,0,5,2", 0)
     fresh = Certifier()
     fresh.load_cache(path)
     assert fresh.memo[(4, 0, 5, 2)].outcome == Status.INCONCLUSIVE
@@ -205,7 +218,7 @@ def test_budget_below_one_is_rejected():
 
 
 def test_cached_certificate_holds_its_system_tuple(tmp_path):
-    path = _tampered_cache(tmp_path, "4,0,5,2", {"outcome": "Inconclusive", "dim": 0})
+    path = _tampered_cache(tmp_path, "4,0,5,2", 0)
     fresh = Certifier()
     fresh.load_cache(path)
     cert = fresh.memo[(4, 0, 5, 2)]
@@ -277,17 +290,20 @@ def test_limit_formula_boundary_agreement_is_checked():
         dim_L0(s, 5, 4, _SkewedSum(2), 1)
 
 
-def test_semicontinuity_is_checked(tmp_path):
-    # A consistent cache entry carries no proof: claiming the four subsystems
-    # of L(5,0,6,2)'s first split empty gives l0 = -1 < e = 2.
-    path = tmp_path / "cache.json"
-    forged = {"outcome": "EmptyProved", "dim": -1}
-    entries = {key: forged for key in ("4,0,3,2", "5,4,3,2", "3,0,3,2", "5,5,3,2")}
-    path.write_text(json.dumps({"version": degeneration.CACHE_VERSION, "entries": entries}))
-    cf = Certifier()
-    assert cf.load_cache(str(path)) == 4
+def test_semicontinuity_is_checked(monkeypatch):
+    # A wrong base case: claiming the four subsystems of L(5,0,6,2)'s first
+    # split empty gives l0 = -1 < e = 2.
+    forged = {(4, 0, 3, 2), (5, 4, 3, 2), (3, 0, 3, 2), (5, 5, 3, 2)}
+    real = classifier.proved_base_case
+
+    def base_case(sys_):
+        if sys_.as_tuple() in forged:
+            return DimensionResult(-1, Status.EMPTY_PROVED, {"forged": True})
+        return real(sys_)
+
+    monkeypatch.setattr(classifier, "proved_base_case", base_case)
     with pytest.raises(SoundnessError, match="semicontinuity"):
-        cf.certify(L(5, 0, 6, 2))
+        Certifier().certify(L(5, 0, 6, 2))
 
 
 def _ladder_cache(path, steps):
@@ -297,7 +313,8 @@ def _ladder_cache(path, steps):
 
 
 def test_ladder_cache_matches_recorded_contents(tmp_path):
-    # Recorded with the certifier before its recursion moved to tuples.
+    # The version-1 file recorded before the recursion moved to tuples
+    # (sha256 a42b7a19...), with each entry replaced by its dim.
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
@@ -305,7 +322,7 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     assert len(data["entries"]) == 1180
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "a42b7a199c5c55345779b0ece47c0a054adeff9c94d41ebab188319c1f29c978"
+        "eba9885527fcb65fa45cb7a28d59ec23c5af151bcca53cc79df8b369de07fb40"
     )
 
 
@@ -320,3 +337,20 @@ def test_cache_is_rewritten_only_when_the_memo_grows(tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     certify(L(12, 0, 13, 3), cache_path=path)
     assert os.stat(path).st_ino != before.st_ino  # replaced by a new file
+
+
+def test_version_1_cache_is_ignored_and_replaced(tmp_path):
+    # A version-1 file in the earlier format (outcome word and dim), whose
+    # one entry claims the non-empty L(10,0,5,3) (e = 35) empty.
+    path = tmp_path / "cache.json"
+    old = {"10,0,5,3": {"outcome": "EmptyProved", "dim": -1}}
+    path.write_text(json.dumps({"version": 1, "entries": old}))
+    cf = Certifier()
+    assert cf.load_cache(str(path)) == 0
+    cert = cf.certify(L(10, 0, 5, 3))
+    assert (cert.outcome, cert.dim) == (Status.NON_SPECIAL_PROVED, 35)
+    assert cf.nodes > 0 and "cached" not in cert.tree
+    cf.save_cache(str(path))
+    data = json.loads(path.read_text())
+    assert data["version"] == 2 and data["entries"]["10,0,5,3"] == 35
+    assert len(data["entries"]) == len(cf.memo)
