@@ -170,6 +170,8 @@ def cmd_certify(args) -> int:
     except degeneration.BudgetExceeded as exc:
         print(f"qhplane: error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # only the cache file is read or written
+        raise ValueError(f"{cache_path}: {exc.strerror or exc}") from None
     if args.json:
         _emit_json(cert.to_dict())
     else:

@@ -7,7 +7,7 @@ semicontinuity.  Whenever l0 equals the expected dimension, the system is
 proved non-special (empty if v <= -1).  The certifier recurses on the
 subsystems, with the classifier's proved base cases (few points, the
 (-1)-special table, the closed forms of the large-m0 theory) as leaves,
-and memoizes by canonical system tuple.  Outcomes use core.Status.
+and memoizes proved dims by canonical key.  Outcomes use core.Status.
 
 The recursion runs on plain (d, m0, n, m) tuples and builds a system object
 only on a memo miss.  Its soundness checks (the split identities, the
@@ -46,7 +46,8 @@ CACHE_VERSION = 2
 CACHE_ENV_VAR = "QHPLANE_CACHE"
 #: fallback (k, b) splits tried per node after the paper-guided ones
 MAX_SPLITS_PER_NODE = 400
-#: a cache key as the certifier writes it: four plain decimal integers
+#: memo and cache-file keys: a canonical tuple as four plain decimal integers
+_KEY = "%d,%d,%d,%d"
 _CACHE_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*)){3}")
 
 
@@ -73,8 +74,9 @@ class DegenerationSplit:
     hatLF: QuasiHomogeneousSystem
 
 
-def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tuple, ...]:
-    """(LP, LF, hatLP, hatLF) of the (k,b)-split of L(d, m0, n, m), as tuples.
+def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tuple, tuple]:
+    """(LP, LF, hatLP, hatLF) of the (k,b)-split of L(d, m0, n, m), as tuples,
+    and their four virtual dimensions.
 
     Needs 0 < k < d and 0 < b < n; raises SoundnessError unless the three
     virtual-dimension identities hold."""
@@ -85,13 +87,13 @@ def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tupl
         (d, d - k + 1, b, m),
     )
     v = lattice_virtual_dim(d, m0, n, m)
-    vP, vF, vhatP, vhatF = starmap(lattice_virtual_dim, subs)
+    vs = vP, vF, vhatP, vhatF = tuple(starmap(lattice_virtual_dim, subs))
     if vP + vF != v + d - k or vhatP + vF != v - 1 or vP + vhatF != v - 1:
         raise SoundnessError(
             f"split identities fail for (k,b)=({k},{b}) on L({d},{m0},{n},{m}): "
             f"v={v} vP={vP} vF={vF} vhatP={vhatP} vhatF={vhatF}"
         )
-    return subs
+    return subs, vs
 
 
 def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> DegenerationSplit:
@@ -101,7 +103,7 @@ def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> Degeneration
         raise ValueError(f"k={k} out of range 0 < k < d={d}")
     if not (0 < b < n):
         raise ValueError(f"b={b} out of range 0 < b < n={n}")
-    LP, LF, hatLP, hatLF = (_L(*t) for t in _split_tuples(d, m0, n, m, k, b))
+    LP, LF, hatLP, hatLF = (_L(*t) for t in _split_tuples(d, m0, n, m, k, b)[0])
     return DegenerationSplit(L, params, LP, LF, hatLP, hatLF)
 
 
@@ -155,34 +157,31 @@ class Certificate:
     tree: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**_summary(self), "tree": self.tree}
+        return {"system": self.system, "outcome": self.outcome, "dim": self.dim, "tree": self.tree}
 
 
-def _summary(cert: Certificate) -> dict:
-    return {
-        "system": cert.system,
-        "outcome": cert.outcome,
-        "dim": cert.dim,
-    }
+def _summary(system: tuple, dim: int, v: int) -> dict:
+    """A split's summary of one subsystem: its tuple, outcome and proved dim."""
+    return {"system": system, "outcome": _outcome(dim, max(-1, v)), "dim": dim}
 
 
 class Certifier:
     """Memoized recursive certifier.
 
     budget (at least 1) bounds the number of systems examined across one
-    Certifier's lifetime; the memo persists across calls and can be saved
-    to / loaded from a JSON cache file.  The memo only grows: save_cache
-    encodes just the entries added since the last load or save."""
+    Certifier's lifetime.  The memo is a cache file's entries object: it
+    maps the canonical key "d,m0,n,m" of each system examined or loaded to
+    its proved dim, or to None when that is unknown.  It persists across
+    calls, only grows, and can be saved to / loaded from a JSON cache file."""
 
     def __init__(self, budget: int = 100_000):
         if budget < 1:
             raise ValueError(f"node budget must be at least 1, got {budget}")
         self.budget = budget
         self.nodes = 0
-        self.memo: dict[tuple, Certificate] = {}
-        # the cache-file entries (key -> dim) of the memo's first
-        # len(self._entries) keys, in memo order
-        self._entries: dict[str, Optional[int]] = {}
+        self.memo: dict[str, Optional[int]] = {}
+        # the memo keys that came from a cache file, whose trees are unknown
+        self._loaded: set[str] = set()
 
     # -- cache persistence --------------------------------------------------
 
@@ -207,27 +206,22 @@ class Certifier:
             raise ValueError(f"{path}: not a JSON object with an object of entries")
         if data.get("version") != CACHE_VERSION:
             return 0
-        memo, entries = self.memo, self._entries
-        in_step = len(entries) == len(memo)
+        memo = self.memo
         loaded = 0
         for key, dim in data.get("entries", {}).items():
             try:
-                tup, cert = _cached_certificate(key, dim)
+                _check_entry(key, dim)
             except ValueError as exc:
                 raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
-            if tup not in memo:
-                memo[tup] = cert
-                if in_step:
-                    entries[key] = dim
+            if key not in memo:
+                memo[key] = dim
+                self._loaded.add(key)
                 loaded += 1
         return loaded
 
     def save_cache(self, path: str) -> None:
-        entries = self._entries
-        for key, c in islice(self.memo.items(), len(entries), None):
-            entries[",".join(map(str, key))] = c.dim
         # json.dumps runs the C encoder; json.dump to a file does not
-        text = json.dumps({"version": CACHE_VERSION, "entries": entries})
+        text = json.dumps({"version": CACHE_VERSION, "entries": self.memo})
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
             fh.write(text)
@@ -236,29 +230,35 @@ class Certifier:
     # -- certification ------------------------------------------------------
 
     def certify(self, L: QuasiHomogeneousSystem) -> Certificate:
-        key = L.canonical_key()
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        """A new certificate naming L.  Only a memo miss counts a node: a
+        loaded key gets the tree {"cached": True}, and a key examined before
+        gets its tree rebuilt from the memoized dims of its subsystems."""
+        key = _KEY % L.canonical_key()
+        if key in self._loaded:
+            return self._finish(L, self.memo[key], {"cached": True})
+        if key in self.memo:
+            return self._build(L)
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"node budget {self.budget} exhausted at {L}")
-        cert = self._certify_uncached(L)
-        self.memo[key] = cert
+        cert = self._build(L)
+        self.memo[key] = cert.dim
         return cert
 
-    def _certify_tuple(self, t: tuple) -> Certificate:
-        """certify(L(*t)), building the system only on a memo miss; t is a
-        normalised system tuple."""
-        hit = self.memo.get(canonical_key(*t))
-        if hit is not None:
-            return hit
-        return self.certify(_L(*t))
+    def _dim(self, t: tuple) -> Optional[int]:
+        """The proved dim of L(*t), or None when unknown, building the system
+        only on a memo miss; t is a normalised system tuple."""
+        try:
+            return self.memo[_KEY % canonical_key(*t)]
+        except KeyError:
+            return self.certify(_L(*t)).dim
 
     def _finish(self, L: QuasiHomogeneousSystem, dim: Optional[int], via: dict) -> Certificate:
         return Certificate(L.as_tuple(), _outcome(dim, expected_dim(L)), dim, via)
 
-    def _certify_uncached(self, L: QuasiHomogeneousSystem) -> Certificate:
+    def _build(self, L: QuasiHomogeneousSystem) -> Certificate:
+        """L's certificate from a base case or the first split whose limit
+        dim is e, certifying the subsystems the memo lacks."""
         base = classifier.proved_base_case(L)
         if base is not None:
             return self._finish(L, base.dim, base.certificate)
@@ -266,16 +266,16 @@ class Certifier:
         e = expected_dim(L)
         attempts = []
         for k, b in _candidate_splits(d, m0, n, m):
-            subs = []
-            for t in _split_tuples(d, m0, n, m, k, b):
-                sub = self._certify_tuple(t)
-                if sub.dim is None:
+            subs, vs = _split_tuples(d, m0, n, m, k, b)
+            dims = []
+            for t in subs:
+                dim = self._dim(t)
+                if dim is None:
                     break
-                subs.append(sub)
-            if len(subs) < 4:
+                dims.append(dim)
+            if len(dims) < 4:
                 attempts.append({"k": k, "b": b, "result": "unknown-sub"})
                 continue
-            dims = [sub.dim for sub in subs]
             l0 = _limit_dim(d - k, *dims)
             # Semicontinuity: the limit dimension bounds l(L) from above,
             # and l(L) >= e always.
@@ -292,7 +292,7 @@ class Certifier:
                     {
                         "split": {"k": k, "b": b},
                         "l0": l0,
-                        "subsystems": [_summary(sub) for sub in subs],
+                        "subsystems": list(map(_summary, subs, dims, vs)),
                     },
                 )
         return self._finish(L, None, {"attempts": attempts})
@@ -349,8 +349,8 @@ def _balanced_b(d: int, n: int) -> Iterator[int]:
             hi += 1
 
 
-def _cached_certificate(key: str, dim: object) -> tuple[tuple, Certificate]:
-    """The memo key and certificate of a cache entry key -> dim.
+def _check_entry(key: str, dim: object) -> None:
+    """Check a cache entry key -> dim.
 
     Raises ValueError when the key is not four decimal integers up to
     MAX_INPUT, or the dim is neither None nor an int (not a bool) at least
@@ -363,7 +363,6 @@ def _cached_certificate(key: str, dim: object) -> tuple[tuple, Certificate]:
     e = max(-1, lattice_virtual_dim(*tup))
     if dim is not None and (type(dim) is not int or dim < e):
         raise ValueError(f"dim {dim!r} is not null or an integer at least e = {e}")
-    return tup, Certificate(tup, _outcome(dim, e), dim, {"cached": True})
 
 
 def certify(

@@ -14,8 +14,7 @@ order a + b at (0:0:1), b + c at (1:0:0) and a + c at (0:1:0).  They become
 column exclusions, and only the monomials with a + b >= m0, a <= d - m1 and
 b <= d - m2 get a column.  The remaining points are sampled at random in
 the chart z = 1 and give the only rows; with no point left to sample the
-count of kept columns is exact.  The `shift` of `measure_dim_mults` moves
-only the sampled points.
+count of kept columns is exact.
 
 The result is an upper bound on the dimension over the complex numbers:
 the rank at any particular choice of points, over F_p or over Q, is at most
@@ -170,7 +169,6 @@ def measure_dim_mults(
     d: int,
     mults: Sequence[int],
     cfg: OracleConfig = DEFAULT_CONFIG,
-    shift: tuple[int, int] = (0, 0),
 ) -> int:
     """Generic dimension of degree-d curves with the given multiplicities at
     general points, measured as an upper bound.
@@ -178,9 +176,7 @@ def measure_dim_mults(
     The three largest multiplicities sit at the coordinate points and turn
     into column exclusions; the rest sit at random points, and the result
     is the minimum over cfg.trials independent samples.  The loop stops
-    early once a trial reaches max(-1, v), below which no trial can go.
-    shift translates every sampled point by a fixed vector (used by the
-    translation-invariance check)."""
+    early once a trial reaches max(-1, v), below which no trial can go."""
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
     if d < 0:
@@ -207,10 +203,7 @@ def measure_dim_mults(
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial, d, len(active)])
         coords = rng.integers(0, p, size=(len(sampled), 2), dtype=np.int64)
-        points = [
-            ((int(x) + shift[0]) % p, (int(y) + shift[1]) % p, m)
-            for (x, y), m in zip(coords, sampled)
-        ]
+        points = [(int(x), int(y), m) for (x, y), m in zip(coords, sampled)]
         matrix = condition_rows(d, points, p, kept)
         best = min(best, len(kept) - rank_mod_p(matrix, p) - 1)
         if best == floor:

@@ -144,22 +144,38 @@ def test_certify_rejects_tampered_cache(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, named",
+    "name, text, named",
     [
-        ('{"version": 2, "entries": {"10,0,5,3": -1}}', "'10,0,5,3'"),  # e is 35
-        ("[]", "not a JSON object with an object of entries"),
-        ("not json", "not a JSON cache file"),
+        ("memo.json", '{"version": 2, "entries": {"10,0,5,3": -1}}', "'10,0,5,3'"),  # e is 35
+        ("memo.json", "[]", "not a JSON object with an object of entries"),
+        ("memo.json", "not json", "not a JSON cache file"),
+        (".", None, "Is a directory"),  # tmp_path itself
+        ("missing/x.json", None, "No such file or directory"),  # written after certifying
     ],
-    ids=["dim-below-e", "not-an-object", "not-json"],
+    ids=["dim-below-e", "not-an-object", "not-json", "a-directory", "in-a-missing-directory"],
 )
-def test_certify_rejects_untrusted_cache_file(capsys, tmp_path, text, named):
-    cache = tmp_path / "memo.json"
-    cache.write_text(text)
+def test_certify_rejects_untrusted_cache_file(capsys, tmp_path, name, text, named):
+    cache = tmp_path / name
+    if text is not None:
+        cache.write_text(text)
     assert main(["certify", "10", "0", "5", "3", "--cache", str(cache)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"qhplane: error: {cache}: ")
     assert named in captured.err
+
+
+def test_certify_through_a_cache_names_the_system_asked_for(capsys, tmp_path):
+    # L(3,0,1,2) is cached under its canonical key "3,2,1,0"; it is also the
+    # first subsystem of L(4,0,3,2).
+    cache = str(tmp_path / "memo.json")
+    fresh = run(capsys, "certify", "4", "0", "3", "2", "--json")
+    assert json.loads(fresh[1])["tree"]["subsystems"][0]["system"] == [3, 0, 1, 2]
+    assert run(capsys, "certify", "3", "0", "1", "2", "--cache", cache)[0] == 0
+    assert run(capsys, "certify", "4", "0", "3", "2", "--json", "--cache", cache) == fresh
+    code, out = run(capsys, "certify", "3", "0", "1", "2", "--json", "--cache", cache)
+    payload = json.loads(out)
+    assert (code, payload["system"], payload["tree"]) == (0, [3, 0, 1, 2], {"cached": True})
 
 
 def test_verify_worker_pool_matches_serial(capsys):

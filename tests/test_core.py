@@ -98,6 +98,9 @@ def test_trinomial_dim_examples():
     assert trinomial_dim(2, 2, 2, 1) == -1
     assert trinomial_dim(2, 0, 2, 2) == 0  # doubled line
     assert trinomial_dim(5, 0, 0, 0) == 20
+    assert trinomial_dim(-1, 0, 0, 0) == -1
+    with pytest.raises(ValueError, match="non-negative"):
+        trinomial_dim(2, 0, -1, 0)
 
 
 @given(st.integers(0, 15), st.integers(0, 15))

@@ -87,6 +87,17 @@ def test_reduces_to_line():
     assert trace[-1]["fail"]
 
 
+def test_reduces_to_line_failure_exits():
+    # a negative entry already in the initial state
+    assert reduces_to_line(MultiplicitySequence(3, (2, -1, 1))) == (
+        False, [{"state": "(3; 2, -1, 1)", "fail": "negative entry"}]
+    )
+    # the pivot (0, 1, 2) maps (3; 1, 1, 1) to a degree-3 state
+    assert reduces_to_line(MultiplicitySequence(3, (1, 1, 1))) == (
+        False, [{"state": "(3; 1, 1, 1)", "fail": "degree does not decrease"}]
+    )
+
+
 def test_pivots_replay_the_reduction():
     s = sequence_of(L(56, 48, 17, 7))
     ok, trace = reduces_to_line(s)

@@ -181,7 +181,8 @@ def test_load_cache_accepts_consistent_entries(tmp_path):
     path = _tampered_cache(tmp_path, "4,0,5,2", 0)
     fresh = Certifier()
     fresh.load_cache(path)
-    assert fresh.memo[(4, 0, 5, 2)].outcome == Status.INCONCLUSIVE
+    assert fresh.memo["4,0,5,2"] == 0
+    assert fresh.certify(L(4, 0, 5, 2)).outcome == Status.INCONCLUSIVE
     assert fresh.certify(L(7, 0, 8, 3)).outcome == Status.EMPTY_PROVED
     assert fresh.nodes == 0
 
@@ -221,12 +222,44 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
     path = _tampered_cache(tmp_path, "4,0,5,2", 0)
     fresh = Certifier()
     fresh.load_cache(path)
-    cert = fresh.memo[(4, 0, 5, 2)]
+    cert = fresh.certify(L(4, 0, 5, 2))
     assert cert.system == (4, 0, 5, 2)
     assert cert.to_dict() == {
         "system": (4, 0, 5, 2), "outcome": Status.INCONCLUSIVE, "dim": 0,
         "tree": {"cached": True},
     }
+
+
+@pytest.mark.parametrize(
+    "system, nodes",
+    [
+        ((30, 0, 83, 3), 228),
+        ((30, 0, 84, 3), 227),
+        ((30, 0, 150, 2), 892),
+        ((50, 0, 309, 3), 2342),
+    ],
+)
+def test_node_counts_are_pinned(system, nodes):
+    cf = Certifier()
+    cert = cf.certify(L(*system))
+    assert cf.nodes == nodes
+    # the same system again, then each of its subsystems: no new node, and
+    # the same certificate and summaries
+    assert cf.certify(L(*system)) == cert
+    for sub in cert.tree["subsystems"]:
+        got = cf.certify(L(*sub["system"]))
+        assert (got.system, got.outcome, got.dim) == (sub["system"], sub["outcome"], sub["dim"])
+    assert cf.nodes == nodes
+
+
+def test_certificate_names_the_system_asked_for():
+    # L(1,1,1,2) and L(1,2,1,1) share the canonical key "1,2,1,1".
+    cf = Certifier()
+    first = cf.certify(L(1, 1, 1, 2))
+    second = cf.certify(L(1, 2, 1, 1))
+    assert first.system == (1, 1, 1, 2) and second.system == (1, 2, 1, 1)
+    assert (second.outcome, second.dim) == (first.outcome, first.dim)
+    assert cf.nodes == 1 and list(cf.memo) == ["1,2,1,1"]
 
 
 def _ranked_reference(d, n):

@@ -6,9 +6,13 @@ consolidated, so any change to a dimension, a status, a certifier outcome
 or an enumeration row shows up here.  The certifier tree digest was
 recorded before the certifier's recursion was rewritten on tuples: it also
 pins every split chosen, every subsystem summary and every base-case
-certificate.  The decomposition digest was recorded before the (-1)-curve
-candidates became configurations: it pins every fixed part's label, total,
-multiplicity and curve count, in order, and the classifier's certificate.
+certificate.  It was re-recorded when every certificate and summary began
+naming the system asked for rather than the first one memoized under its
+canonical key; with each "system" replaced by core.canonical_key, the rows
+hash to 70545cb0... before and after.  The decomposition digest was
+recorded before the (-1)-curve candidates became configurations: it pins
+every fixed part's label, total, multiplicity and curve count, in order,
+and the classifier's certificate.
 The irreducibility digest was recorded before the Cremona reduction lost
 its step cap and its state strings: it pins every class's verdict, pivot
 sequence, failure reasons and blocking class.
@@ -144,7 +148,7 @@ GOLDEN = [
     (
         "certifier trees d<=20 m<=3",
         certifier_tree_rows,
-        "efefa7b8104d67373ff040553ab1c2fce07c5fbd014accdb2559b8e9eb5d5280",
+        "f71d6a1e60e931b4e18f0ac3bbe5cbe0cd11cdd8ac25f710fe103a63d6fdafc7",
         _histogram_of("outcome"),
     ),
     (

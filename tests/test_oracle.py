@@ -61,9 +61,16 @@ def test_row_count_identity():
 
 
 def test_translation_invariance():
-    base = measure_dim_mults(8, [3, 2, 2, 2, 2])
-    shifted = measure_dim_mults(8, [3, 2, 2, 2, 2], shift=(12345, 67890))
-    assert base == shifted
+    # Another seed samples other points; general points give one dimension.
+    base = measure_dim_mults(8, [3, 2, 2, 2, 2], OracleConfig(seed=1))
+    moved = measure_dim_mults(8, [3, 2, 2, 2, 2], OracleConfig(seed=2))
+    assert base == moved
+
+
+def test_negative_degree_and_multiplicity():
+    assert measure_dim_mults(-1, [1, 2]) == -1
+    with pytest.raises(ValueError, match="non-negative"):
+        measure_dim_mults(4, [2, -1])
 
 
 def test_rejects_small_prime():
