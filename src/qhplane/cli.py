@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -164,14 +163,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_certify(args) -> int:
     sys_ = L(args.d, args.m0, args.n, args.m)
-    cache_path = args.cache or os.environ.get(degeneration.CACHE_ENV_VAR)
     try:
-        cert = degeneration.certify(sys_, budget=args.budget, cache_path=cache_path)
+        cert = degeneration.certify(sys_, budget=args.budget, cache_path=args.cache)
     except degeneration.BudgetExceeded as exc:
         print(f"qhplane: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # only the cache file is read or written
-        raise ValueError(f"{cache_path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{args.cache}: {exc.strerror or exc}") from None
     if args.json:
         _emit_json(cert.to_dict())
     else:
@@ -269,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="degeneration proof of emptiness/non-speciality")
     _system_args(p)
     p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--cache", type=str, default=None,
-                   help=f"memo cache file (or ${degeneration.CACHE_ENV_VAR})")
+    p.add_argument("--cache", type=str, default=None, help="memo cache file")
     p.add_argument("--trace", action="store_true")
     _format_flag(p, csv_too=False)
     p.set_defaults(func=cmd_certify)

@@ -87,10 +87,14 @@ class QuasiHomogeneousSystem:
 
 
 def canonical_key(d: int, m0: int, n: int, m: int) -> tuple[int, int, int, int]:
-    """Memoization key of L(d, m0, n, m).  With a single extra point the two
-    points are interchangeable general points, so sort (m0, m) descending."""
+    """Memoization key of L(d, m0, n, m), one normalised tuple per system.
+    A zero n or m leaves L(d, m0), keyed (d, m0, 0, 0).  With a single extra
+    point the two points are interchangeable general points, so sort (m0, m)
+    descending and drop a zero one: L(d, 0, 1, m) is L(d, m)."""
+    if n == 0 or m == 0:
+        return (d, m0, 0, 0)
     if n == 1 and m > m0:
-        return (d, m, 1, m0)
+        return (d, m, 1, m0) if m0 else (d, m, 0, 0)
     return (d, m0, n, m)
 
 

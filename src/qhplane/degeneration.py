@@ -10,9 +10,8 @@ subsystems, with the classifier's proved base cases (few points, the
 and memoizes proved dims by canonical key.  Outcomes use core.Status.
 
 The recursion runs on plain (d, m0, n, m) tuples and builds a system object
-only on a memo miss.  Its soundness checks (the split identities, the
-agreement of the two limit formulas, semicontinuity) raise SoundnessError,
-so they also run under `python -O`.
+only on a memo miss.  Its soundness checks (the split identities and
+semicontinuity) raise SoundnessError, so they also run under `python -O`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat, starmap
 from typing import Iterator, Optional
@@ -42,13 +40,11 @@ class BudgetExceeded(RuntimeError):
     """Raised when the certifier's node budget is exhausted."""
 
 
-CACHE_VERSION = 2
-CACHE_ENV_VAR = "QHPLANE_CACHE"
+CACHE_VERSION = 3
 #: fallback (k, b) splits tried per node after the paper-guided ones
 MAX_SPLITS_PER_NODE = 400
-#: memo and cache-file keys: a canonical tuple as four plain decimal integers
+#: memo and cache-file keys: core.canonical_key as four plain decimal integers
 _KEY = "%d,%d,%d,%d"
-_CACHE_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*)){3}")
 
 
 @dataclass(frozen=True)
@@ -109,17 +105,7 @@ def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> Degeneration
 
 def _limit_dim(dk: int, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
     """dim_L0 with dk = d - k."""
-    rP = lP - lPhat - 1
-    rF = lF - lFhat - 1
-    if rP + rF > dk - 1:
-        return lP + lF - dk
-    l0 = lPhat + lFhat + 1
-    if rP + rF == dk - 1 and l0 != lP + lF - dk:
-        raise SoundnessError(
-            f"limit formulas disagree on the boundary: d-k={dk}, "
-            f"dims {[lP, lF, lPhat, lFhat]}"
-        )
-    return l0
+    return max(lP + lF - dk, lPhat + lFhat + 1)
 
 
 def _outcome(dim: Optional[int], e: int) -> Status:
@@ -141,9 +127,9 @@ def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> in
 
     With rP = lP - lPhat - 1 and rF = lF - lFhat - 1 (the dimensions of the
     restrictions to the double curve), the limit is lPhat + lFhat + 1 when
-    the two restricted series are non-transversal-free (rP + rF <= d-k-1)
-    and lP + lF - (d-k) otherwise; the formulas agree on the boundary, which
-    is checked."""
+    rP + rF <= d-k-1 and lP + lF - (d-k) otherwise.  That branch test is the
+    comparison of the two terms, so l0 is their max (and the two agree on
+    the boundary rP + rF = d-k-1)."""
     return _limit_dim(s.parent.d - s.params.k, lP, lF, lPhat, lFhat)
 
 
@@ -170,9 +156,10 @@ class Certifier:
 
     budget (at least 1) bounds the number of systems examined across one
     Certifier's lifetime.  The memo is a cache file's entries object: it
-    maps the canonical key "d,m0,n,m" of each system examined or loaded to
-    its proved dim, or to None when that is unknown.  It persists across
-    calls, only grows, and can be saved to / loaded from a JSON cache file."""
+    maps the key "d,m0,n,m" (core.canonical_key) of each system examined or
+    loaded to its proved dim, or to None when that is unknown.  It persists
+    across calls, only grows, and can be saved to / loaded from a JSON cache
+    file."""
 
     def __init__(self, budget: int = 100_000):
         if budget < 1:
@@ -180,8 +167,6 @@ class Certifier:
         self.budget = budget
         self.nodes = 0
         self.memo: dict[str, Optional[int]] = {}
-        # the memo keys that came from a cache file, whose trees are unknown
-        self._loaded: set[str] = set()
 
     # -- cache persistence --------------------------------------------------
 
@@ -191,10 +176,10 @@ class Certifier:
         Each entry maps a system key to its proved dim, or to null when it
         is unknown; a file of another version is ignored.  Raises ValueError,
         naming the file, on a file that is not a JSON object with an object
-        of entries, and, naming the key too, on a key that is not four
-        decimal integers up to MAX_INPUT or a dim that is neither null nor
-        an int at least e.  Every entry is checked, used or not.  The
-        entries carry no proof: a dim at least e is trusted."""
+        of entries, and, naming the key too, on a key that is not the
+        canonical key of a system with entries up to MAX_INPUT or a dim that
+        is neither null nor an int at least e.  Every entry is checked, used
+        or not.  The entries carry no proof: a dim at least e is trusted."""
         if not os.path.exists(path):
             return 0
         with open(path) as fh:
@@ -215,7 +200,6 @@ class Certifier:
                 raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
             if key not in memo:
                 memo[key] = dim
-                self._loaded.add(key)
                 loaded += 1
         return loaded
 
@@ -230,12 +214,10 @@ class Certifier:
     # -- certification ------------------------------------------------------
 
     def certify(self, L: QuasiHomogeneousSystem) -> Certificate:
-        """A new certificate naming L.  Only a memo miss counts a node: a
-        loaded key gets the tree {"cached": True}, and a key examined before
-        gets its tree rebuilt from the memoized dims of its subsystems."""
+        """A new certificate naming L.  Only a memo miss counts a node: on a
+        hit, examined before or loaded from a file, the tree is rebuilt from
+        the memoized dims of L's subsystems."""
         key = _KEY % L.canonical_key()
-        if key in self._loaded:
-            return self._finish(L, self.memo[key], {"cached": True})
         if key in self.memo:
             return self._build(L)
         self.nodes += 1
@@ -247,7 +229,7 @@ class Certifier:
 
     def _dim(self, t: tuple) -> Optional[int]:
         """The proved dim of L(*t), or None when unknown, building the system
-        only on a memo miss; t is a normalised system tuple."""
+        only on a memo miss."""
         try:
             return self.memo[_KEY % canonical_key(*t)]
         except KeyError:
@@ -352,15 +334,19 @@ def _balanced_b(d: int, n: int) -> Iterator[int]:
 def _check_entry(key: str, dim: object) -> None:
     """Check a cache entry key -> dim.
 
-    Raises ValueError when the key is not four decimal integers up to
-    MAX_INPUT, or the dim is neither None nor an int (not a bool) at least
-    the key's e: no dimension lies below e."""
-    if _CACHE_KEY.fullmatch(key) is None:
-        raise ValueError("the key is not four decimal integers")
-    tup = tuple(map(int, key.split(",")))
-    if max(tup) > MAX_INPUT:
+    Raises ValueError when the key is not core.canonical_key of a system as
+    four plain decimal integers up to MAX_INPUT (checked by formatting the
+    key again from its integers), or when the dim is neither None nor an int
+    (not a bool) at least the key's e: no dimension lies below e."""
+    try:
+        d, m0, n, m = map(int, key.split(","))
+    except ValueError:
+        raise ValueError("the key is not four integers") from None
+    if "-" in key or key != _KEY % canonical_key(d, m0, n, m):
+        raise ValueError("the key is not the canonical key of a system")
+    if max(d, m0, n, m) > MAX_INPUT:
         raise ValueError(f"the key exceeds the supported cap {MAX_INPUT}")
-    e = max(-1, lattice_virtual_dim(*tup))
+    e = max(-1, lattice_virtual_dim(d, m0, n, m))
     if dim is not None and (type(dim) is not int or dim < e):
         raise ValueError(f"dim {dim!r} is not null or an integer at least e = {e}")
 
@@ -373,9 +359,13 @@ def certify(
     """One-shot certification; see Certifier for the long-lived form.
 
     With cache_path the cache is loaded first and rewritten only when the
-    memo gained an entry."""
+    memo gained an entry; an OSError is raised before any certifying when
+    the file's directory is missing or not writable."""
     c = Certifier(budget=budget)
     if cache_path:
+        folder = os.path.dirname(cache_path) or "."
+        if not os.access(folder, os.W_OK):
+            raise OSError(f"{folder} is not a writable directory")
         c.load_cache(cache_path)
     known = len(c.memo)
     cert = c.certify(L)

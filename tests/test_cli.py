@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qhplane import degeneration
 from qhplane.cli import main
 
 
@@ -146,18 +147,27 @@ def test_certify_rejects_tampered_cache(capsys, tmp_path):
 @pytest.mark.parametrize(
     "name, text, named",
     [
-        ("memo.json", '{"version": 2, "entries": {"10,0,5,3": -1}}', "'10,0,5,3'"),  # e is 35
+        (
+            "memo.json",
+            json.dumps({"version": degeneration.CACHE_VERSION, "entries": {"10,0,5,3": -1}}),
+            "'10,0,5,3'",  # e is 35
+        ),
         ("memo.json", "[]", "not a JSON object with an object of entries"),
         ("memo.json", "not json", "not a JSON cache file"),
         (".", None, "Is a directory"),  # tmp_path itself
-        ("missing/x.json", None, "No such file or directory"),  # written after certifying
+        ("missing/x.json", None, "missing is not a writable directory"),
     ],
     ids=["dim-below-e", "not-an-object", "not-json", "a-directory", "in-a-missing-directory"],
 )
-def test_certify_rejects_untrusted_cache_file(capsys, tmp_path, name, text, named):
+def test_certify_rejects_untrusted_cache_file(capsys, monkeypatch, tmp_path, name, text, named):
     cache = tmp_path / name
     if text is not None:
         cache.write_text(text)
+
+    def certify(self, L):
+        raise AssertionError(f"{L} certified before the cache file was checked")
+
+    monkeypatch.setattr(degeneration.Certifier, "certify", certify)
     assert main(["certify", "10", "0", "5", "3", "--cache", str(cache)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -167,15 +177,19 @@ def test_certify_rejects_untrusted_cache_file(capsys, tmp_path, name, text, name
 
 def test_certify_through_a_cache_names_the_system_asked_for(capsys, tmp_path):
     # L(3,0,1,2) is cached under its canonical key "3,2,1,0"; it is also the
-    # first subsystem of L(4,0,3,2).
+    # first subsystem of L(4,0,3,2).  Through a cache written by other runs,
+    # each system prints what a fresh run prints.
+    fresh = {
+        argv: run(capsys, "certify", *argv, "--json")
+        for argv in (("3", "0", "1", "2"), ("4", "0", "3", "2"), ("10", "0", "11", "3"))
+    }
+    assert json.loads(fresh["4", "0", "3", "2"][1])["tree"]["subsystems"][0]["system"] == [3, 0, 1, 2]
     cache = str(tmp_path / "memo.json")
-    fresh = run(capsys, "certify", "4", "0", "3", "2", "--json")
-    assert json.loads(fresh[1])["tree"]["subsystems"][0]["system"] == [3, 0, 1, 2]
-    assert run(capsys, "certify", "3", "0", "1", "2", "--cache", cache)[0] == 0
-    assert run(capsys, "certify", "4", "0", "3", "2", "--json", "--cache", cache) == fresh
-    code, out = run(capsys, "certify", "3", "0", "1", "2", "--json", "--cache", cache)
-    payload = json.loads(out)
-    assert (code, payload["system"], payload["tree"]) == (0, [3, 0, 1, 2], {"cached": True})
+    for argv in (("4", "0", "3", "2"), ("10", "0", "11", "3")):
+        assert run(capsys, "certify", *argv, "--cache", cache)[0] == 0
+    for argv, out in fresh.items():
+        assert out[0] == 0
+        assert run(capsys, "certify", *argv, "--json", "--cache", cache) == out
 
 
 def test_verify_worker_pool_matches_serial(capsys):

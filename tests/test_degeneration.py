@@ -68,7 +68,7 @@ def test_dim_L0_all_empty():
 
 
 def test_dim_L0_boundary_consistency():
-    # when rP + rF = d - k - 1 both formulas agree (asserted internally)
+    # when rP + rF = d - k - 1 both formulas agree
     s = split(L(6, 0, 6, 2), DegenerationParams(1, 3))
     d_k = 5
     lPhat, lFhat = 2, 1
@@ -155,6 +155,9 @@ _UNTRUSTED = [
     ("1000001,0,8,3", -1),  # above MAX_INPUT
     ("10,0,5,3", -1),  # e is 35
     ("10,0,5,3", 34),
+    ("1,1,1,2", 0),  # not canonical: L(1,1,1,2) keys as "1,2,1,1"
+    ("5,0,0,3", 20),  # not canonical: L(5,0,0,3) is L(5,0), "5,0,0,0"
+    ("10,3,1,0", 59),  # not canonical: L(10,3,1,0) is L(10,3), "10,3,0,0"
     (None, "[]"),
     (None, '{"version": 2, "entries": [1, 2]}'),
     (None, "not json"),
@@ -220,14 +223,13 @@ def test_budget_below_one_is_rejected():
 
 def test_cached_certificate_holds_its_system_tuple(tmp_path):
     path = _tampered_cache(tmp_path, "4,0,5,2", 0)
-    fresh = Certifier()
-    fresh.load_cache(path)
-    cert = fresh.certify(L(4, 0, 5, 2))
+    loaded = Certifier()
+    loaded.load_cache(path)
+    cert = loaded.certify(L(4, 0, 5, 2))
     assert cert.system == (4, 0, 5, 2)
-    assert cert.to_dict() == {
-        "system": (4, 0, 5, 2), "outcome": Status.INCONCLUSIVE, "dim": 0,
-        "tree": {"cached": True},
-    }
+    assert (cert.outcome, cert.dim) == (Status.INCONCLUSIVE, 0)
+    # a loaded key is an ordinary memo hit: the certificate a fresh run gives
+    assert cert.to_dict() == Certifier().certify(L(4, 0, 5, 2)).to_dict()
 
 
 @pytest.mark.parametrize(
@@ -260,6 +262,19 @@ def test_certificate_names_the_system_asked_for():
     assert first.system == (1, 1, 1, 2) and second.system == (1, 2, 1, 1)
     assert (second.outcome, second.dim) == (first.outcome, first.dim)
     assert cf.nodes == 1 and list(cf.memo) == ["1,2,1,1"]
+
+
+def test_one_memo_key_per_system():
+    # L(10,0,1,3) is L(10,3): a single extra point of multiplicity 3 and a
+    # zero-multiplicity p0 are the one fat point of L(10,3).
+    cf = Certifier()
+    first = cf.certify(L(10, 0, 1, 3))
+    second = cf.certify(L(10, 3))
+    assert first.system == (10, 0, 1, 3) and second.system == (10, 3, 0, 0)
+    assert (second.outcome, second.dim) == (first.outcome, first.dim) == (
+        Status.NON_SPECIAL_PROVED, 59,
+    )
+    assert cf.nodes == 1 and list(cf.memo) == ["10,3,0,0"]
 
 
 def _ranked_reference(d, n):
@@ -309,18 +324,25 @@ def test_certifier_checks_split_identities(monkeypatch):
         Certifier().certify(L(5, 0, 6, 2))
 
 
-class _SkewedSum(int):
-    """A forged dimension whose sums come out one too large."""
+def _two_branch_l0(dk, lP, lF, lPhat, lFhat):
+    # the paper's rule: transversal restricted series give lP + lF - (d-k)
+    rP, rF = lP - lPhat - 1, lF - lFhat - 1
+    if rP + rF > dk - 1:
+        return lP + lF - dk
+    return lPhat + lFhat + 1
 
-    def __add__(self, other):
-        return int(self) + int(other) + 1
 
-
-def test_limit_formula_boundary_agreement_is_checked():
-    # The boundary case of test_dim_L0_boundary_consistency, with lPhat forged.
-    s = split(L(6, 0, 6, 2), DegenerationParams(1, 3))
-    with pytest.raises(SoundnessError, match="limit formulas disagree"):
-        dim_L0(s, 5, 4, _SkewedSum(2), 1)
+def test_dim_L0_equals_the_two_branch_rule():
+    dims = range(-1, 7)
+    for d in range(2, 10):
+        s = split(L(d, 0, 2, 1), DegenerationParams(1, 1))  # d - k = d - 1
+        for lP in dims:
+            for lF in dims:
+                for lPhat in dims:
+                    for lFhat in dims:
+                        assert dim_L0(s, lP, lF, lPhat, lFhat) == _two_branch_l0(
+                            d - 1, lP, lF, lPhat, lFhat
+                        ), (d - 1, lP, lF, lPhat, lFhat)
 
 
 def test_semicontinuity_is_checked(monkeypatch):
@@ -347,7 +369,9 @@ def _ladder_cache(path, steps):
 
 def test_ladder_cache_matches_recorded_contents(tmp_path):
     # The version-1 file recorded before the recursion moved to tuples
-    # (sha256 a42b7a19...), with each entry replaced by its dim.
+    # (sha256 a42b7a19...), with each entry replaced by its dim; then, at
+    # version 3, with its 12 keys "d,m,1,0" renamed to their canonical
+    # "d,m,0,0" (the version-2 file hashed to eba98855...).
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
@@ -355,7 +379,7 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     assert len(data["entries"]) == 1180
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "eba9885527fcb65fa45cb7a28d59ec23c5af151bcca53cc79df8b369de07fb40"
+        "0d1dcca96c6c36aab80e23fc5bfd83bd61a6afb8644391f2401e144bb180c2e6"
     )
 
 
@@ -372,18 +396,26 @@ def test_cache_is_rewritten_only_when_the_memo_grows(tmp_path):
     assert os.stat(path).st_ino != before.st_ino  # replaced by a new file
 
 
+# Files of older versions, each with an untrusted entry: the earlier format
+# (outcome word and dim) claiming the non-empty L(10,0,5,3) (e = 35) empty,
+# and the earlier keys, one of which ("10,3,1,0") is not canonical.
+_OLD_CACHES = {
+    1: {"10,0,5,3": {"outcome": "EmptyProved", "dim": -1}},
+    2: {"10,0,5,3": -1, "10,3,1,0": 59},
+}
+
+
 def test_version_1_cache_is_ignored_and_replaced(tmp_path):
-    # A version-1 file in the earlier format (outcome word and dim), whose
-    # one entry claims the non-empty L(10,0,5,3) (e = 35) empty.
     path = tmp_path / "cache.json"
-    old = {"10,0,5,3": {"outcome": "EmptyProved", "dim": -1}}
-    path.write_text(json.dumps({"version": 1, "entries": old}))
-    cf = Certifier()
-    assert cf.load_cache(str(path)) == 0
-    cert = cf.certify(L(10, 0, 5, 3))
-    assert (cert.outcome, cert.dim) == (Status.NON_SPECIAL_PROVED, 35)
-    assert cf.nodes > 0 and "cached" not in cert.tree
-    cf.save_cache(str(path))
-    data = json.loads(path.read_text())
-    assert data["version"] == 2 and data["entries"]["10,0,5,3"] == 35
-    assert len(data["entries"]) == len(cf.memo)
+    for version, old in _OLD_CACHES.items():
+        path.write_text(json.dumps({"version": version, "entries": old}))
+        cf = Certifier()
+        assert cf.load_cache(str(path)) == 0
+        cert = cf.certify(L(10, 0, 5, 3))
+        assert (cert.outcome, cert.dim) == (Status.NON_SPECIAL_PROVED, 35)
+        assert cf.nodes > 0
+        cf.save_cache(str(path))
+        data = json.loads(path.read_text())
+        assert data["version"] == degeneration.CACHE_VERSION == 3
+        assert data["entries"]["10,0,5,3"] == 35
+        assert len(data["entries"]) == len(cf.memo)
