@@ -155,12 +155,12 @@ _UNTRUSTED = [
     ("1000001,0,8,3", -1),  # above MAX_INPUT
     ("10,0,5,3", -1),  # e is 35
     ("10,0,5,3", 34),
-    ("1,1,1,2", 0),  # not canonical: L(1,1,1,2) keys as "1,2,1,1"
-    ("5,0,0,3", 20),  # not canonical: L(5,0,0,3) is L(5,0), "5,0,0,0"
-    ("10,3,1,0", 59),  # not canonical: L(10,3,1,0) is L(10,3), "10,3,0,0"
     (None, "[]"),
     (None, '{"version": 2, "entries": [1, 2]}'),
     (None, "not json"),
+    ("1,1,1,2", 0),  # not canonical: L(1,1,1,2) keys as "1,2,1,1"
+    ("5,0,0,3", 20),  # not canonical: L(5,0,0,3) is L(5,0), "5,0,0,0"
+    ("10,3,1,0", 59),  # not canonical: L(10,3,1,0) is L(10,3), "10,3,0,0"
 ]
 
 
