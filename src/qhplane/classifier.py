@@ -33,67 +33,78 @@ from .minus_one import SpecialDecomposition, find_special_decomposition
 class SpecialTableEntry:
     """One family of the (-1)-special table for m <= 3.
 
-    match returns the (v, l) pair when the system belongs to the family."""
+    match returns the (v, l) pair of a member; every member has key (m, d - m0)."""
 
     name: str
+    key: tuple[int, int]  # (m, d - m0)
     match: Callable[[int, int, int, int], Optional[tuple[int, int]]]
 
 
-def _fixed(d0, m00, n0, m0v, v, l):
+def _fixed(d0, m00, n0, m0v, v, l) -> SpecialTableEntry:
     def match(d, m0, n, m):
         return (v, l) if (d, m0, n, m) == (d0, m00, n0, m0v) else None
 
-    return match
+    return SpecialTableEntry(f"L({d0},{m00},{n0},{m0v})", (m0v, d0 - m00), match)
 
 
 SPECIAL_TABLE: list[SpecialTableEntry] = [
-    SpecialTableEntry("L(4,0,5,2)", _fixed(4, 0, 5, 2, -1, 0)),
+    _fixed(4, 0, 5, 2, -1, 0),
     SpecialTableEntry(
         "L(2e,2e-2,2e,2)",
+        (2, 2),
         lambda d, m0, n, m: (-1, 0)
         if m == 2 and d >= 2 and d % 2 == 0 and m0 == d - 2 and n == d
         else None,
     ),
     SpecialTableEntry(
         "L(d,d,e,2)",
+        (2, 0),
         lambda d, m0, n, m: (d - 3 * n, d - 2 * n)
         if m == 2 and m0 == d and n >= 1 and d >= 2 * n
         else None,
     ),
-    SpecialTableEntry("L(4,0,2,3)", _fixed(4, 0, 2, 3, 2, 3)),
-    SpecialTableEntry("L(6,0,5,3)", _fixed(6, 0, 5, 3, -3, 0)),
-    SpecialTableEntry("L(6,2,4,3)", _fixed(6, 2, 4, 3, 0, 1)),
+    _fixed(4, 0, 2, 3, 2, 3),
+    _fixed(6, 0, 5, 3, -3, 0),
+    _fixed(6, 2, 4, 3, 0, 1),
     SpecialTableEntry(
         "L(3e,3e-3,2e,3)",
+        (3, 3),
         lambda d, m0, n, m: (-3, 0)
         if m == 3 and d >= 3 and d % 3 == 0 and m0 == d - 3 and n == 2 * d // 3
         else None,
     ),
     SpecialTableEntry(
         "L(3e+1,3e-2,2e,3)",
+        (3, 3),
         lambda d, m0, n, m: (1, 2)
         if m == 3 and d >= 4 and d % 3 == 1 and m0 == d - 3 and n == 2 * (d - 1) // 3
         else None,
     ),
     SpecialTableEntry(
         "L(4e,4e-2,2e,3)",
+        (3, 2),
         lambda d, m0, n, m: (-1, 0)
         if m == 3 and d >= 4 and d % 4 == 0 and m0 == d - 2 and n == d // 2
         else None,
     ),
     SpecialTableEntry(
         "L(d,d-1,e,3)",
+        (3, 1),
         lambda d, m0, n, m: (2 * d - 6 * n, 2 * d - 5 * n)
         if m == 3 and m0 == d - 1 and n >= 1 and 2 * d >= 5 * n
         else None,
     ),
     SpecialTableEntry(
         "L(d,d,e,3)",
+        (3, 0),
         lambda d, m0, n, m: (d - 6 * n, d - 3 * n)
         if m == 3 and m0 == d and n >= 1 and d >= 3 * n
         else None,
     ),
 ]
+
+#: SPECIAL_TABLE's families by key, in table order
+TABLE_INDEX = {f.key: [g for g in SPECIAL_TABLE if g.key == f.key] for f in SPECIAL_TABLE}
 
 
 @dataclass
@@ -107,16 +118,16 @@ class TableMatch:
 def lookup_special_table(
     L: QuasiHomogeneousSystem, with_decomposition: bool = True
 ) -> Optional[TableMatch]:
-    """Match L against the (-1)-special table (m <= 3 only).
-
-    A system may belong to several families (the fixed sporadic tuples all
-    sit inside a parametric family); every match must agree on (v, l)."""
+    """Match L against the (-1)-special table (m <= 3 only), trying only the
+    families that TABLE_INDEX holds under L's key (m, d - m0).  A system may
+    belong to several families (the fixed sporadic tuples all sit inside a
+    parametric family); every match must agree on (v, l)."""
     if L.m > 3:
         raise ValueError(f"special table only covers m <= 3, got {L}")
     d, m0, n, m = L.as_tuple()
     hits = [
         (entry.name, got)
-        for entry in SPECIAL_TABLE
+        for entry in TABLE_INDEX.get((m, d - m0), ())
         if (got := entry.match(d, m0, n, m)) is not None
     ]
     if not hits:

@@ -45,6 +45,8 @@ CACHE_VERSION = 3
 MAX_SPLITS_PER_NODE = 400
 #: memo and cache-file keys: core.canonical_key as four plain decimal integers
 _KEY = "%d,%d,%d,%d"
+#: what a memo lookup returns on a miss; a stored None (unknown dim) is a hit
+_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -213,37 +215,39 @@ class Certifier:
 
     # -- certification ------------------------------------------------------
 
-    def certify(self, L: QuasiHomogeneousSystem) -> Certificate:
+    def certify(self, L: QuasiHomogeneousSystem, *, tree: bool = True) -> Certificate:
         """A new certificate naming L.  Only a memo miss counts a node: on a
         hit, examined before or loaded from a file, the tree is rebuilt from
-        the memoized dims of L's subsystems."""
+        the memoized dims of L's subsystems.  With tree=False the outcome and
+        dim are the same, but no tree is built: the certificate's tree is {}."""
         key = _KEY % L.canonical_key()
         if key in self.memo:
-            return self._build(L)
+            return self._build(L, tree)
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(f"node budget {self.budget} exhausted at {L}")
-        cert = self._build(L)
+        cert = self._build(L, tree)
         self.memo[key] = cert.dim
         return cert
 
     def _dim(self, t: tuple) -> Optional[int]:
-        """The proved dim of L(*t), or None when unknown, building the system
-        only on a memo miss."""
-        try:
-            return self.memo[_KEY % canonical_key(*t)]
-        except KeyError:
-            return self.certify(_L(*t)).dim
+        """The proved dim of L(*t), or None when unknown.  A miss builds the
+        system and certifies it through certify, which counts the node, with
+        no tree: only the dim is used."""
+        dim = self.memo.get(_KEY % canonical_key(*t), _MISS)
+        return self.certify(_L(*t), tree=False).dim if dim is _MISS else dim
 
     def _finish(self, L: QuasiHomogeneousSystem, dim: Optional[int], via: dict) -> Certificate:
         return Certificate(L.as_tuple(), _outcome(dim, expected_dim(L)), dim, via)
 
-    def _build(self, L: QuasiHomogeneousSystem) -> Certificate:
+    def _build(self, L: QuasiHomogeneousSystem, tree: bool) -> Certificate:
         """L's certificate from a base case or the first split whose limit
-        dim is e, certifying the subsystems the memo lacks."""
+        dim is e, certifying the subsystems the memo lacks.  Only with tree
+        set does it build the tree: the base case's certificate, the proving
+        split with its subsystem summaries, or the splits tried."""
         base = classifier.proved_base_case(L)
         if base is not None:
-            return self._finish(L, base.dim, base.certificate)
+            return self._finish(L, base.dim, base.certificate if tree else {})
         d, m0, n, m = L.as_tuple()
         e = expected_dim(L)
         attempts = []
@@ -256,7 +260,8 @@ class Certifier:
                     break
                 dims.append(dim)
             if len(dims) < 4:
-                attempts.append({"k": k, "b": b, "result": "unknown-sub"})
+                if tree:
+                    attempts.append({"k": k, "b": b, "result": "unknown-sub"})
                 continue
             l0 = _limit_dim(d - k, *dims)
             # Semicontinuity: the limit dimension bounds l(L) from above,
@@ -266,18 +271,15 @@ class Certifier:
                     f"semicontinuity fails for (k,b)=({k},{b}) on {L}: "
                     f"l0={l0} < e={e} from dims {dims}"
                 )
-            attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
             if l0 == e:
-                return self._finish(
-                    L,
-                    e,
-                    {
-                        "split": {"k": k, "b": b},
-                        "l0": l0,
-                        "subsystems": list(map(_summary, subs, dims, vs)),
-                    },
-                )
-        return self._finish(L, None, {"attempts": attempts})
+                if not tree:
+                    return self._finish(L, e, {})
+                summaries = list(map(_summary, subs, dims, vs))
+                via = {"split": {"k": k, "b": b}, "l0": l0, "subsystems": summaries}
+                return self._finish(L, e, via)
+            if tree:
+                attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
+        return self._finish(L, None, {"attempts": attempts} if tree else {})
 
 
 def _candidate_splits(d: int, m0: int, n: int, m: int) -> Iterator[tuple[int, int]]:

@@ -156,11 +156,31 @@ def test_is_special():
     ids=["disagree", "v", "not-special"],
 )
 def test_table_checks_raise_soundness_error(monkeypatch, claims, message):
-    # forged families matching L(4,0,5,2) (v = -1, e = -1) with these (v, l)
+    # forged families matching L(4,0,5,2) (v = -1, e = -1) with these (v, l),
+    # under its key (m, d - m0) = (2, 4)
     table = [
-        SpecialTableEntry(f"forged{i}", lambda d, m0, n, m, got=got: got)
+        SpecialTableEntry(f"forged{i}", (2, 4), lambda d, m0, n, m, got=got: got)
         for i, got in enumerate(claims)
     ]
-    monkeypatch.setattr(classifier, "SPECIAL_TABLE", table)
+    monkeypatch.setattr(classifier, "TABLE_INDEX", {(2, 4): table})
     with pytest.raises(SoundnessError, match=message):
         lookup_special_table(L(4, 0, 5, 2))
+
+
+def test_table_index_loses_no_family():
+    # every (d, m0, n, m) with d, n <= 40, m <= 4 and m0 <= d + 2: a family
+    # matches only under its key, and the indexed lookup finds what a full
+    # scan of SPECIAL_TABLE finds
+    matched = set()
+    for d in range(0, 41):
+        for m0 in range(0, d + 3):
+            for n in range(0, 41):
+                for m in range(1, 5):
+                    scan = [e for e in SPECIAL_TABLE if e.match(d, m0, n, m) is not None]
+                    for e in scan:
+                        assert e.key == (m, d - m0), (e.name, d, m0, n, m)
+                    matched.update(e.name for e in scan)
+                    if m <= 3:
+                        got = lookup_special_table(L(d, m0, n, m), with_decomposition=False)
+                        assert (got.families if got else []) == [e.name for e in scan]
+    assert matched == {e.name for e in SPECIAL_TABLE}

@@ -254,6 +254,24 @@ def test_node_counts_are_pinned(system, nodes):
     assert cf.nodes == nodes
 
 
+def test_treeless_certify_matches_the_full_certificate():
+    # tree=False is what the recursion asks of a subsystem: the same outcome,
+    # dim, node count and memo as a full certificate, with an empty tree
+    plain, full = Certifier(), Certifier()
+    for d in range(0, 13):
+        for m in (2, 3):
+            for m0 in range(0, d + 1):
+                for n in range(0, 13):
+                    got = plain.certify(L(d, m0, n, m), tree=False)
+                    want = full.certify(L(d, m0, n, m))
+                    assert got.tree == {}
+                    assert (got.system, got.outcome, got.dim) == (
+                        want.system, want.outcome, want.dim,
+                    )
+    assert plain.nodes == full.nodes
+    assert plain.memo == full.memo
+
+
 def test_certificate_names_the_system_asked_for():
     # L(1,1,1,2) and L(1,2,1,1) share the canonical key "1,2,1,1".
     cf = Certifier()
