@@ -91,8 +91,8 @@ def cmd_classify(args) -> int:
     sys_ = L(args.d, args.m0, args.n, args.m)
     special, result = classifier.is_special(sys_)
     inv = invariants(sys_)
-    decomp = (result.certificate or {}).get("decomposition")
-    if decomp is None and sys_.n > 0 and sys_.m > 0:
+    decomp = result.certificate.get("decomposition")
+    if "decomposition" not in result.certificate and sys_.n > 0 and sys_.m > 0:
         found = minus_one.find_special_decomposition(sys_)
         decomp = found.to_dict() if found else None
     payload = {
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="degeneration proof of emptiness/non-speciality")
     _system_args(p)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=degeneration.DEFAULT_BUDGET)
     p.add_argument("--cache", type=str, default=None, help="memo cache file")
     p.add_argument("--trace", action="store_true")
     _format_flag(p, csv_too=False)

@@ -11,14 +11,16 @@ workhorse base cases of the degeneration recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     DimensionResult,
     QuasiHomogeneousSystem,
+    expected_dim,
     multiplicity_one,
     proved,
     trinomial_dim,
+    virtual_dim,
 )
 from .core import L as _L
 
@@ -40,7 +42,7 @@ class MultiplicitySequence:
         return self.degree >= 0 and all(m >= 0 for m in self.mults)
 
     def dropped_zeros(self) -> "MultiplicitySequence":
-        return replace(self, mults=tuple(m for m in self.mults if m != 0))
+        return MultiplicitySequence(self.degree, tuple(m for m in self.mults if m != 0))
 
     def __str__(self) -> str:
         return f"({self.degree}; {', '.join(map(str, self.mults))})"
@@ -71,33 +73,32 @@ def quadratic_transform(
 def reduces_to_line(s: MultiplicitySequence) -> tuple[bool, list[dict]]:
     """Greedy Cremona reduction towards the line through two points (1; 1, 1).
 
-    Pivots on the three largest multiplicities, ties broken by index.
-    Succeeds iff the reduction reaches (1; 1, 1) through states with
-    non-negative entries and strictly decreasing degree; used as the
-    numerical irreducibility criterion for (-1)-classes.  A step's trace
-    entry is its pivot into the state with zeros dropped, padded to three
-    entries; a failure entry names its state.  Each pass returns or lowers
-    the degree, which stays positive, so the loop ends within s.degree passes.
+    Pivots on the three largest multiplicities, ties broken by index (a
+    reverse sort is stable).  Succeeds iff the reduction reaches (1; 1, 1)
+    through states with non-negative entries and strictly decreasing degree;
+    used as the numerical irreducibility criterion for (-1)-classes.  The
+    input is checked once; a step changes only the degree and the pivots, so
+    only those are checked after it.  A step's trace entry is its pivot into
+    the state with zeros dropped, padded to three entries; a failure entry
+    names its state.  Each pass returns or lowers the degree, which stays
+    positive, so the loop ends within s.degree passes.
     """
     trace: list[dict] = []
     cur = s.dropped_zeros()
+    if cur.degree < 1 or any(m < 0 for m in cur.mults):
+        trace.append({"state": str(cur), "fail": "negative entry"})
+        return False, trace
     while True:
         if cur.degree == 1 and sorted(cur.mults) == [1, 1]:
             return True, trace
-        if cur.degree < 1 or any(m < 0 for m in cur.mults):
-            trace.append({"state": str(cur), "fail": "negative entry"})
-            return False, trace
-        padded = list(cur.mults) + [0] * max(0, 3 - len(cur.mults))
-        order = sorted(range(len(padded)), key=lambda t: (-padded[t], t))
-        i, j, k = order[:3]
-        nxt = quadratic_transform(
-            MultiplicitySequence(cur.degree, tuple(padded)), i, j, k
-        )
+        padded = cur.mults + (0,) * (3 - len(cur.mults))
+        i, j, k = sorted(range(len(padded)), key=padded.__getitem__, reverse=True)[:3]
+        nxt = quadratic_transform(MultiplicitySequence(cur.degree, padded), i, j, k)
         if nxt.degree >= cur.degree:
             trace.append({"state": str(cur), "fail": "degree does not decrease"})
             return False, trace
         trace.append({"pivot": (i, j, k)})
-        if nxt.degree < 1 or any(m < 0 for m in nxt.mults):
+        if nxt.degree < 1 or min(nxt.mults[i], nxt.mults[j], nxt.mults[k]) < 0:
             trace.append({"state": str(nxt), "fail": "negative entry"})
             return False, trace
         cur = nxt.dropped_zeros()
@@ -135,7 +136,7 @@ def dim_m0_eq_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
     h, eps = divmod(n, 2)
     cert = {"base": "m0=d-m", "q": q, "mu": mu, "h": h, "eps": eps}
     if q >= h + 1:
-        dim = d * (m + 1) - m * (m - 1) // 2 - n * m * (m + 1) // 2
+        dim = virtual_dim(L)
     elif q == h and eps == 0:
         dim = mu * (mu + 3) // 2
     else:
@@ -159,7 +160,7 @@ def dim_m0_eq_d_minus_m_minus_1(L: QuasiHomogeneousSystem) -> DimensionResult:
     elif q == h and eps == 0 and 4 * q <= mu * (mu + 3):
         dim = mu * (mu + 3) // 2 - 2 * q
     else:
-        dim = max(-1, d * (m + 2) - (n + 1) * m * (m + 1) // 2)
+        dim = expected_dim(L)
     return proved(L, dim, cert)
 
 

@@ -41,6 +41,8 @@ class BudgetExceeded(RuntimeError):
 
 
 CACHE_VERSION = 3
+#: nodes one Certifier may examine unless told otherwise
+DEFAULT_BUDGET = 100_000
 #: fallback (k, b) splits tried per node after the paper-guided ones
 MAX_SPLITS_PER_NODE = 400
 #: memo and cache-file keys: core.canonical_key as four plain decimal integers
@@ -163,7 +165,7 @@ class Certifier:
     across calls, only grows, and can be saved to / loaded from a JSON cache
     file."""
 
-    def __init__(self, budget: int = 100_000):
+    def __init__(self, budget: int = DEFAULT_BUDGET):
         if budget < 1:
             raise ValueError(f"node budget must be at least 1, got {budget}")
         self.budget = budget
@@ -355,7 +357,7 @@ def _check_entry(key: str, dim: object) -> None:
 
 def certify(
     L: QuasiHomogeneousSystem,
-    budget: int = 100_000,
+    budget: int = DEFAULT_BUDGET,
     cache_path: Optional[str] = None,
 ) -> Certificate:
     """One-shot certification; see Certifier for the long-lived form.

@@ -341,6 +341,7 @@ def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDec
                     # residual exists (the system is empty, not special)
                     return None
                 changed = True
+    # A pass that changed nothing ended the loop: no candidate meets M at <= -2.
     if not fixed:
         return None
     parts = [(candidates[i], N) for i, N in fixed.items()]
@@ -349,11 +350,6 @@ def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDec
     res_v = lattice_virtual_dim(d, m0, n, m)
     if res_v < 0:
         return None
-    # Residual may keep simple (-1)-curves in its base locus; it must not
-    # meet any enumerated curve to order <= -2.
-    for cand in candidates:
-        if cand.member_intersection(d, m0, m) <= -2:
-            return None
     # Fixed-part accounting (residual v minus system v) is exact; the sum
     # runs over individual curves, so an orbit contributes once per member.
     if res_v - virtual_dim(L) != sum(c.count * N * (N - 1) // 2 for c, N in parts):

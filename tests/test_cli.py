@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qhplane import degeneration
+from qhplane import classifier, degeneration, minus_one
 from qhplane.cli import main
 
 
@@ -43,6 +43,28 @@ def test_classify_json_non_special(capsys):
     payload = json.loads(out)
     assert payload["special"] is False
     assert payload["decomposition"] is None
+
+
+def test_classify_searches_once(capsys, monkeypatch):
+    # a Conjectural cell: dimension() searches and stores None, and classify
+    # reports that None without searching again
+    search = minus_one.find_special_decomposition
+    calls = []
+
+    def counted(L):
+        calls.append(L)
+        return search(L)
+
+    monkeypatch.setattr(minus_one, "find_special_decomposition", counted)
+    monkeypatch.setattr(classifier, "find_special_decomposition", counted)
+    code, out = run(capsys, "classify", "20", "5", "6", "5", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out) == {
+        "schema": 1, "system": [20, 5, 6, 5], "special": False, "dim": 125,
+        "v": 125, "e": 125, "self_int": 225, "genus": 101,
+        "status": "Conjectural", "decomposition": None,
+    }
 
 
 def test_enumerate_csv(capsys):

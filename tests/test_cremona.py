@@ -14,6 +14,7 @@ from qhplane.cremona import (
     reduces_to_line,
     sequence_of,
 )
+from qhplane.minus_one import enumerate_qh_classes
 from qhplane.oracle import measure_dim_mults
 
 
@@ -96,6 +97,70 @@ def test_reduces_to_line_failure_exits():
     assert reduces_to_line(MultiplicitySequence(3, (1, 1, 1))) == (
         False, [{"state": "(3; 1, 1, 1)", "fail": "degree does not decrease"}]
     )
+    # a step into a state with negative pivot entries
+    assert reduces_to_line(MultiplicitySequence(5, (3, 3, 3))) == (
+        False,
+        [{"pivot": (0, 1, 2)}, {"state": "(1; -1, -1, -1)", "fail": "negative entry"}],
+    )
+    # a step into (1; 0, 0, 0), whose next pivot does not lower the degree
+    assert reduces_to_line(MultiplicitySequence(2, (1, 1, 1))) == (
+        False,
+        [{"pivot": (0, 1, 2)}, {"state": "(1; )", "fail": "degree does not decrease"}],
+    )
+
+
+def _reference_reduction(degree, mults):
+    """The greedy reduction written out on plain tuples: pivots by
+    (-entry, index), every entry checked for a negative after every step."""
+
+    def show(d, ms):
+        return f"({d}; {', '.join(map(str, ms))})"
+
+    trace = []
+    d, ms = degree, tuple(x for x in mults if x != 0)
+    while True:
+        if d == 1 and sorted(ms) == [1, 1]:
+            return True, trace
+        if d < 1 or any(x < 0 for x in ms):
+            trace.append({"state": show(d, ms), "fail": "negative entry"})
+            return False, trace
+        padded = list(ms) + [0] * max(0, 3 - len(ms))
+        i, j, k = sorted(range(len(padded)), key=lambda t: (-padded[t], t))[:3]
+        mi, mj, mk = padded[i], padded[j], padded[k]
+        nd = 2 * d - mi - mj - mk
+        nxt = list(padded)
+        nxt[i], nxt[j], nxt[k] = d - mj - mk, d - mi - mk, d - mi - mj
+        if nd >= d:
+            trace.append({"state": show(d, ms), "fail": "degree does not decrease"})
+            return False, trace
+        trace.append({"pivot": (i, j, k)})
+        if nd < 1 or any(x < 0 for x in nxt):
+            trace.append({"state": show(nd, nxt), "fail": "negative entry"})
+            return False, trace
+        d, ms = nd, tuple(x for x in nxt if x != 0)
+
+
+# entries drawn from a small palette plus zero, so ties and zeros are common
+_tied_entries = st.lists(st.integers(-1, 12), min_size=1, max_size=3).flatmap(
+    lambda palette: st.lists(st.sampled_from(palette + [0]), max_size=9)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-1, 25), _tied_entries | st.lists(st.integers(-1, 12), max_size=9))
+def test_reduces_to_line_matches_reference(degree, mults):
+    s = MultiplicitySequence(degree, tuple(mults))
+    assert reduces_to_line(s) == _reference_reduction(degree, mults)
+
+
+def test_reduces_to_line_matches_reference_on_classes():
+    classes = enumerate_qh_classes(30)
+    reached = 0
+    for c in classes:
+        got = reduces_to_line(sequence_of(c.system))
+        assert got == _reference_reduction(c.system.d, c.system.multiplicities())
+        reached += got[0]
+    assert 0 < reached < len(classes)
 
 
 def test_pivots_replay_the_reduction():
