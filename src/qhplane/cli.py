@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -179,10 +180,8 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _verify_cell(cell: tuple[int, int, int, int, int, int]) -> Optional[dict]:
-    d, m0, n, m, trials, seed = cell
-    sys_ = L(d, m0, n, m)
-    cfg = oracle.OracleConfig(trials=trials, seed=seed)
+def _verify_cell(cfg: oracle.OracleConfig, cell: tuple[int, int, int, int]) -> Optional[dict]:
+    sys_ = L(*cell)
     theory = classifier.dimension(sys_)
     measured = oracle.measure_dim(sys_, cfg).dim
     if theory.dim != measured:
@@ -203,19 +202,22 @@ def cmd_verify(args) -> int:
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     cells = [
-        (d, m0, n, m, args.trials, args.seed)
+        (d, m0, n, m)
         for d in range(0, args.d_max + 1)
         for m in range(1, args.m_max + 1)
         for m0 in range(0, d + 1)
         for n in range(0, args.n_max + 1)
     ]
+    # one config per run: building one checks that its prime is prime
+    cfg = oracle.OracleConfig(trials=args.trials, seed=args.seed)
+    check = functools.partial(_verify_cell, cfg)
     if args.workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(args.workers) as pool:
-            results = pool.map(_verify_cell, cells, chunksize=64)
+            results = pool.map(check, cells, chunksize=64)
     else:
-        results = map(_verify_cell, cells)
+        results = map(check, cells)
     mismatches = [r for r in results if r is not None]
     if args.json:
         _emit_json({"cells": len(cells), "mismatches": mismatches})

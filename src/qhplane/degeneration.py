@@ -30,7 +30,6 @@ from .core import (
     SoundnessError,
     Status,
     canonical_key,
-    expected_dim,
     lattice_virtual_dim,
 )
 from .core import L as _L
@@ -74,9 +73,9 @@ class DegenerationSplit:
     hatLF: QuasiHomogeneousSystem
 
 
-def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tuple, tuple]:
-    """(LP, LF, hatLP, hatLF) of the (k,b)-split of L(d, m0, n, m), as tuples,
-    and their four virtual dimensions.
+def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int, v: int) -> tuple[tuple, tuple]:
+    """(LP, LF, hatLP, hatLF) of the (k,b)-split of L(d, m0, n, m), whose
+    virtual dimension is v, as tuples, and their four virtual dimensions.
 
     Needs 0 < k < d and 0 < b < n; raises SoundnessError unless the three
     virtual-dimension identities hold."""
@@ -86,7 +85,6 @@ def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int) -> tuple[tupl
         (d - k - 1, m0, n - b, m),
         (d, d - k + 1, b, m),
     )
-    v = lattice_virtual_dim(d, m0, n, m)
     vs = vP, vF, vhatP, vhatF = tuple(starmap(lattice_virtual_dim, subs))
     if vP + vF != v + d - k or vhatP + vF != v - 1 or vP + vhatF != v - 1:
         raise SoundnessError(
@@ -103,7 +101,8 @@ def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> Degeneration
         raise ValueError(f"k={k} out of range 0 < k < d={d}")
     if not (0 < b < n):
         raise ValueError(f"b={b} out of range 0 < b < n={n}")
-    LP, LF, hatLP, hatLF = (_L(*t) for t in _split_tuples(d, m0, n, m, k, b)[0])
+    v = lattice_virtual_dim(d, m0, n, m)
+    LP, LF, hatLP, hatLF = (_L(*t) for t in _split_tuples(d, m0, n, m, k, b, v)[0])
     return DegenerationSplit(L, params, LP, LF, hatLP, hatLF)
 
 
@@ -182,8 +181,9 @@ class Certifier:
         naming the file, on a file that is not a JSON object with an object
         of entries, and, naming the key too, on a key that is not the
         canonical key of a system with entries up to MAX_INPUT or a dim that
-        is neither null nor an int at least e.  Every entry is checked, used
-        or not.  The entries carry no proof: a dim at least e is trusted."""
+        is neither null nor an int from e to the dim of L(d, m0).  Every
+        entry is checked, used or not.  The entries carry no proof: a dim in
+        that interval is trusted."""
         if not os.path.exists(path):
             return 0
         with open(path) as fh:
@@ -239,25 +239,24 @@ class Certifier:
         dim = self.memo.get(_KEY % canonical_key(*t), _MISS)
         return self.certify(_L(*t), tree=False).dim if dim is _MISS else dim
 
-    def _finish(self, L: QuasiHomogeneousSystem, dim: Optional[int], via: dict) -> Certificate:
-        return Certificate(L.as_tuple(), _outcome(dim, expected_dim(L)), dim, via)
-
     def _build(self, L: QuasiHomogeneousSystem, tree: bool) -> Certificate:
         """L's certificate from a base case or the first split whose limit
         dim is e, certifying the subsystems the memo lacks.  Only with tree
         set does it build the tree: the base case's certificate, the proving
         split with its subsystem summaries, or the splits tried."""
+        system = d, m0, n, m = L.as_tuple()
+        v = lattice_virtual_dim(d, m0, n, m)
+        e = max(-1, v)
         base = classifier.proved_base_case(L)
         if base is not None:
-            return self._finish(L, base.dim, base.certificate if tree else {})
-        d, m0, n, m = L.as_tuple()
-        e = expected_dim(L)
+            via = base.certificate if tree else {}
+            return Certificate(system, _outcome(base.dim, e), base.dim, via)
         attempts = []
-        for k, b in _candidate_splits(d, m0, n, m):
-            subs, vs = _split_tuples(d, m0, n, m, k, b)
+        for k, b in _candidate_splits(d, m0, n, m, v):
+            subs, vs = _split_tuples(d, m0, n, m, k, b, v)
             dims = []
-            for t in subs:
-                dim = self._dim(t)
+            for sub in subs:
+                dim = self._dim(sub)
                 if dim is None:
                     break
                 dims.append(dim)
@@ -274,20 +273,20 @@ class Certifier:
                     f"l0={l0} < e={e} from dims {dims}"
                 )
             if l0 == e:
-                if not tree:
-                    return self._finish(L, e, {})
-                summaries = list(map(_summary, subs, dims, vs))
-                via = {"split": {"k": k, "b": b}, "l0": l0, "subsystems": summaries}
-                return self._finish(L, e, via)
+                via = {}
+                if tree:
+                    summaries = list(map(_summary, subs, dims, vs))
+                    via = {"split": {"k": k, "b": b}, "l0": l0, "subsystems": summaries}
+                return Certificate(system, _outcome(e, e), e, via)
             if tree:
                 attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
-        return self._finish(L, None, {"attempts": attempts} if tree else {})
+        return Certificate(system, _outcome(None, e), None, {"attempts": attempts} if tree else {})
 
 
-def _candidate_splits(d: int, m0: int, n: int, m: int) -> Iterator[tuple[int, int]]:
+def _candidate_splits(d: int, m0: int, n: int, m: int, v: int) -> Iterator[tuple[int, int]]:
     """Paper-guided (k, b) choices first, then the first MAX_SPLITS_PER_NODE
-    pairs of the balanced exhaustive ranking, each pair once."""
-    v = lattice_virtual_dim(d, m0, n, m)
+    pairs of the balanced exhaustive ranking, each pair once; v is the
+    virtual dimension of L(d, m0, n, m)."""
     prescriptions: list[tuple[int, int]] = []
     if m == 2:
         if v <= -1:
@@ -314,25 +313,16 @@ def _ranked_splits(d: int, n: int) -> Iterator[tuple[int, int]]:
     key (k * |2b - d|, k, b), as far as the first MAX_SPLITS_PER_NODE.
 
     Within a row k the key orders b by (|2b - d|, b) whatever k is, so every
-    row walks the same b list; heapq.merge interleaves the rows."""
-    bs = list(islice(_balanced_b(d, n), MAX_SPLITS_PER_NODE))
+    row walks the same b list.  Its first MAX_SPLITS_PER_NODE values lie within
+    that many of mid, the b nearest d/2, and the stable sort keeps the lower b
+    of a tie; heapq.merge interleaves the rows."""
+    mid = min(d // 2, n - 1)
+    window = range(max(1, mid - MAX_SPLITS_PER_NODE), min(n, mid + MAX_SPLITS_PER_NODE + 1))
+    bs = sorted(window, key=lambda b: abs(2 * b - d))[:MAX_SPLITS_PER_NODE]
     gaps = [abs(2 * b - d) for b in bs]
     rows = [zip(map(k.__mul__, gaps), repeat(k), bs) for k in range(1, d)]
     for _, k, b in heapq.merge(*rows):
         yield k, b
-
-
-def _balanced_b(d: int, n: int) -> Iterator[int]:
-    """b = 1 .. n-1 ordered by (|2b - d|, b): outward from d/2, the lower
-    of two equally distant values first."""
-    lo, hi = min(d // 2, n - 1), d // 2 + 1
-    while lo >= 1 or hi < n:
-        if lo >= 1 and (hi >= n or d - 2 * lo <= 2 * hi - d):
-            yield lo
-            lo -= 1
-        else:
-            yield hi
-            hi += 1
 
 
 def _check_entry(key: str, dim: object) -> None:
@@ -341,7 +331,8 @@ def _check_entry(key: str, dim: object) -> None:
     Raises ValueError when the key is not core.canonical_key of a system as
     four plain decimal integers up to MAX_INPUT (checked by formatting the
     key again from its integers), or when the dim is neither None nor an int
-    (not a bool) at least the key's e: no dimension lies below e."""
+    (not a bool) from the key's e to max(-1, v(d, m0)), the dim of L(d, m0),
+    which contains the system (one fat point imposes independent conditions)."""
     try:
         d, m0, n, m = map(int, key.split(","))
     except ValueError:
@@ -351,8 +342,13 @@ def _check_entry(key: str, dim: object) -> None:
     if max(d, m0, n, m) > MAX_INPUT:
         raise ValueError(f"the key exceeds the supported cap {MAX_INPUT}")
     e = max(-1, lattice_virtual_dim(d, m0, n, m))
-    if dim is not None and (type(dim) is not int or dim < e):
-        raise ValueError(f"dim {dim!r} is not null or an integer at least e = {e}")
+    if dim is None or (type(dim) is int and dim == e):  # most entries: skip the bound
+        return
+    top = max(-1, lattice_virtual_dim(d, m0, 0, 0))
+    if type(dim) is not int or not e <= dim <= top:
+        raise ValueError(
+            f"dim {dim!r} is not null or an integer from e = {e} to {top}, the dim of L({d},{m0})"
+        )
 
 
 def certify(

@@ -174,12 +174,20 @@ def test_certify_rejects_tampered_cache(capsys, tmp_path):
             json.dumps({"version": degeneration.CACHE_VERSION, "entries": {"10,0,5,3": -1}}),
             "'10,0,5,3'",  # e is 35
         ),
+        (
+            "memo.json",
+            json.dumps({"version": degeneration.CACHE_VERSION, "entries": {"10,0,11,3": 66}}),
+            "to 65, the dim of L(10,0)",
+        ),
         ("memo.json", "[]", "not a JSON object with an object of entries"),
         ("memo.json", "not json", "not a JSON cache file"),
         (".", None, "Is a directory"),  # tmp_path itself
         ("missing/x.json", None, "missing is not a writable directory"),
     ],
-    ids=["dim-below-e", "not-an-object", "not-json", "a-directory", "in-a-missing-directory"],
+    ids=[
+        "dim-below-e", "dim-above-L-d-m0", "not-an-object", "not-json", "a-directory",
+        "in-a-missing-directory",
+    ],
 )
 def test_certify_rejects_untrusted_cache_file(capsys, monkeypatch, tmp_path, name, text, named):
     cache = tmp_path / name

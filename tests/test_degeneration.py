@@ -161,6 +161,8 @@ _UNTRUSTED = [
     ("1,1,1,2", 0),  # not canonical: L(1,1,1,2) keys as "1,2,1,1"
     ("5,0,0,3", 20),  # not canonical: L(5,0,0,3) is L(5,0), "5,0,0,0"
     ("10,3,1,0", 59),  # not canonical: L(10,3,1,0) is L(10,3), "10,3,0,0"
+    ("7,0,8,3", 36),  # above 35, the dim of L(7,0)
+    ("10,3,0,0", 60),  # above 59, the dim of the non-special L(10,3)
 ]
 
 
@@ -188,6 +190,21 @@ def test_load_cache_accepts_consistent_entries(tmp_path):
     assert fresh.certify(L(4, 0, 5, 2)).outcome == Status.INCONCLUSIVE
     assert fresh.certify(L(7, 0, 8, 3)).outcome == Status.EMPTY_PROVED
     assert fresh.nodes == 0
+
+
+def test_cache_hit_rederives_its_dim(tmp_path):
+    # 5 lies from e = 0 to 27, the dim of L(6,0), so the entry loads; a hit
+    # still proves its dim from the base case or the splits
+    path = str(tmp_path / "cache.json")
+    with open(path, "w") as fh:
+        json.dump({"version": degeneration.CACHE_VERSION, "entries": {"6,0,9,2": 5}}, fh)
+    cert = certify(L(6, 0, 9, 2), cache_path=path)
+    assert (cert.outcome, cert.dim) == (Status.NON_SPECIAL_PROVED, 0)
+    assert cert.to_dict() == Certifier().certify(L(6, 0, 9, 2)).to_dict()
+    loaded = Certifier()
+    loaded.load_cache(path)
+    assert loaded.memo["6,0,9,2"] == 5
+    assert loaded.certify(L(6, 0, 9, 2), tree=False).dim == 0
 
 
 def test_budget_exceeded():
@@ -296,19 +313,24 @@ def test_one_memo_key_per_system():
 
 
 def _ranked_reference(d, n):
-    # the eager ranking the lazy generator replaced
+    # the eager ranking the lazy generator replaced.  Only k <= MAX_SPLITS_PER_NODE
+    # can rank among the first MAX_SPLITS_PER_NODE: with g = |2b - d| at the b
+    # nearest d/2, the keys of k = 1 .. MAX_SPLITS_PER_NODE there are no larger
+    # than any key with a bigger k.
     pairs = sorted(
-        ((k, b) for k in range(1, d) for b in range(1, n)),
+        ((k, b) for k in range(1, min(d, MAX_SPLITS_PER_NODE + 1)) for b in range(1, n)),
         key=lambda kb: (kb[0] * abs(2 * kb[1] - d), kb[0], kb[1]),
     )
     return pairs[:MAX_SPLITS_PER_NODE]
 
 
 def test_lazy_split_ranking_matches_sorted_list():
-    for d in range(1, 41):
-        for n in [*range(1, 41), 200, 1600]:
-            got = list(islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE))
-            assert got == _ranked_reference(d, n), (d, n)
+    # with d // 2 > MAX_SPLITS_PER_NODE, every b of (804, 2) lies farther
+    # than that below d/2
+    cases = [(d, n) for d in range(1, 41) for n in [*range(1, 41), 200, 1600]]
+    for d, n in [*cases, (804, 2), (1000, 600), (2001, 1200)]:
+        got = list(islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE))
+        assert got == _ranked_reference(d, n), (d, n)
 
 
 # The four subsystems of the (2,3)-split of L(6,0,5,3).
