@@ -9,6 +9,16 @@ subsystems, with the classifier's proved base cases (few points, the
 (-1)-special table, the closed forms of the large-m0 theory) as leaves,
 and memoizes proved dims by canonical key.  Outcomes use core.Status.
 
+Adding a general point only cuts a system down, so L(d, m0, n, m) lies in
+L(d, m0, nb, m) for nb <= n.  Before trying splits, a system with v <= -1
+looks up its boundary system, the one with the fewest points nb whose
+v <= -1; when nb < n and that system is proved empty, so is L, and the
+certificate is {"fewer_points": nb, "subsystems": [its summary]}.  A
+special or unknown boundary falls through to the splits.  The recursion
+ends because each step lowers (d, n) lexicographically: LP and hatLP have
+a lower d, LF and hatLF keep d with b < n points, and the fewer-points rule
+keeps d with nb < n points.
+
 The recursion runs on plain (d, m0, n, m) tuples and builds a system object
 only on a memo miss.  Its soundness checks (the split identities and
 semicontinuity) raise SoundnessError, so they also run under `python -O`.
@@ -240,10 +250,11 @@ class Certifier:
         return self.certify(_L(*t), tree=False).dim if dim is _MISS else dim
 
     def _build(self, L: QuasiHomogeneousSystem, tree: bool) -> Certificate:
-        """L's certificate from a base case or the first split whose limit
-        dim is e, certifying the subsystems the memo lacks.  Only with tree
-        set does it build the tree: the base case's certificate, the proving
-        split with its subsystem summaries, or the splits tried."""
+        """L's certificate from a base case, an empty boundary system, or the
+        first split whose limit dim is e, certifying the subsystems the memo
+        lacks.  Only with tree set does it build the tree: the base case's
+        certificate, the boundary's summary, the proving split with its
+        subsystem summaries, or the splits tried."""
         system = d, m0, n, m = L.as_tuple()
         v = lattice_virtual_dim(d, m0, n, m)
         e = max(-1, v)
@@ -251,6 +262,17 @@ class Certifier:
         if base is not None:
             via = base.certificate if tree else {}
             return Certificate(system, _outcome(base.dim, e), base.dim, via)
+        if v <= -1:
+            # Fewer points: L lies in L(d, m0, nb, m) for every nb <= n, so an
+            # empty boundary system (the fewest points with v <= -1) empties L.
+            nb = n - (-1 - v) // (m * (m + 1) // 2)
+            bound = (d, m0, nb, m)
+            if nb < n and self._dim(bound) == -1:
+                via = {}
+                if tree:
+                    summary = _summary(bound, -1, lattice_virtual_dim(*bound))
+                    via = {"fewer_points": nb, "subsystems": [summary]}
+                return Certificate(system, _outcome(-1, e), -1, via)
         attempts = []
         for k, b in _candidate_splits(d, m0, n, m, v):
             subs, vs = _split_tuples(d, m0, n, m, k, b, v)
@@ -315,12 +337,15 @@ def _ranked_splits(d: int, n: int) -> Iterator[tuple[int, int]]:
     Within a row k the key orders b by (|2b - d|, b) whatever k is, so every
     row walks the same b list.  Its first MAX_SPLITS_PER_NODE values lie within
     that many of mid, the b nearest d/2, and the stable sort keeps the lower b
-    of a tie; heapq.merge interleaves the rows."""
+    of a tie; heapq.merge interleaves the rows.  Only the rows k up to
+    MAX_SPLITS_PER_NODE are built: a pair (k, b) with a larger k comes after
+    the MAX_SPLITS_PER_NODE pairs (k', b) with k' <= MAX_SPLITS_PER_NODE."""
     mid = min(d // 2, n - 1)
     window = range(max(1, mid - MAX_SPLITS_PER_NODE), min(n, mid + MAX_SPLITS_PER_NODE + 1))
     bs = sorted(window, key=lambda b: abs(2 * b - d))[:MAX_SPLITS_PER_NODE]
     gaps = [abs(2 * b - d) for b in bs]
-    rows = [zip(map(k.__mul__, gaps), repeat(k), bs) for k in range(1, d)]
+    ks = range(1, min(d, MAX_SPLITS_PER_NODE + 1))
+    rows = [zip(map(k.__mul__, gaps), repeat(k), bs) for k in ks]
     for _, k, b in heapq.merge(*rows):
         yield k, b
 

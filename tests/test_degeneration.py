@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import os
 from itertools import islice
@@ -112,6 +113,48 @@ def test_certified_dims_match_oracle():
                     want = -1 if c.outcome == "EmptyProved" else expected_dim(sys_)
                     assert c.dim == want
                     assert measure_dim(sys_).dim == want, sys_
+
+
+def test_fewer_points_certificates_are_empty():
+    # Each fewer-points certificate names the boundary system, the fewest
+    # points with v <= -1, proved empty; the oracle and the classifier agree
+    # that the system itself is empty.
+    cf = Certifier()
+    found = 0
+    for d in range(11):
+        for m0 in range(d + 2):
+            for n in range(21):
+                for m in (1, 2, 3):
+                    sys_ = L(d, m0, n, m)
+                    cert = cf.certify(sys_)
+                    if "fewer_points" not in cert.tree:
+                        continue
+                    found += 1
+                    nb = cert.tree["fewer_points"]
+                    assert virtual_dim(L(d, m0, nb, m)) <= -1 < virtual_dim(L(d, m0, nb - 1, m))
+                    [bound] = cert.tree["subsystems"]
+                    assert bound == {"system": (d, m0, nb, m), "outcome": "EmptyProved", "dim": -1}
+                    assert (cert.outcome, cert.dim) == (Status.EMPTY_PROVED, -1)
+                    assert measure_dim(sys_).dim == -1, sys_
+                    assert classifier.dimension(sys_).dim == -1, sys_
+    assert found == 375
+
+
+def test_special_boundary_falls_back_to_a_split():
+    # L(4,0,5,2), the boundary of L(4,0,6,2), is special (dim 0): the
+    # fewer-points rule cannot apply and a split proves L(4,0,6,2) empty.
+    assert certify(L(4, 0, 5, 2)).dim == 0
+    cert = certify(L(4, 0, 6, 2))
+    assert (cert.outcome, cert.dim) == (Status.EMPTY_PROVED, -1)
+    assert "split" in cert.tree and "fewer_points" not in cert.tree
+
+
+def test_deep_empty_system_is_proved_from_its_boundary():
+    # 30,402 nodes when proved by its own degenerations, 2,382 from
+    # L(120,0,1231,3), the first with v <= -1
+    cert = certify(L(120, 0, 1600, 3), budget=3000)
+    assert (cert.outcome, cert.dim) == (Status.EMPTY_PROVED, -1)
+    assert cert.tree["fewer_points"] == 1231
 
 
 def test_memoization_and_cache_round_trip(tmp_path):
@@ -252,10 +295,11 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
 @pytest.mark.parametrize(
     "system, nodes",
     [
-        ((30, 0, 83, 3), 228),
-        ((30, 0, 84, 3), 227),
-        ((30, 0, 150, 2), 892),
-        ((50, 0, 309, 3), 2342),
+        ((30, 0, 83, 3), 173),
+        ((30, 0, 84, 3), 174),
+        ((30, 0, 150, 2), 755),
+        ((50, 0, 309, 3), 471),
+        ((120, 0, 1600, 3), 2382),
     ],
 )
 def test_node_counts_are_pinned(system, nodes):
@@ -313,22 +357,17 @@ def test_one_memo_key_per_system():
 
 
 def _ranked_reference(d, n):
-    # the eager ranking the lazy generator replaced.  Only k <= MAX_SPLITS_PER_NODE
-    # can rank among the first MAX_SPLITS_PER_NODE: with g = |2b - d| at the b
-    # nearest d/2, the keys of k = 1 .. MAX_SPLITS_PER_NODE there are no larger
-    # than any key with a bigger k.
-    pairs = sorted(
-        ((k, b) for k in range(1, min(d, MAX_SPLITS_PER_NODE + 1)) for b in range(1, n)),
-        key=lambda kb: (kb[0] * abs(2 * kb[1] - d), kb[0], kb[1]),
-    )
-    return pairs[:MAX_SPLITS_PER_NODE]
+    # every pair (k, b) with 0 < k < d and 0 < b < n, the first
+    # MAX_SPLITS_PER_NODE by the key: unlike _ranked_splits, no bound on k
+    pairs = ((k * abs(2 * b - d), k, b) for k in range(1, d) for b in range(1, n))
+    return [(k, b) for _, k, b in heapq.nsmallest(MAX_SPLITS_PER_NODE, pairs)]
 
 
 def test_lazy_split_ranking_matches_sorted_list():
     # with d // 2 > MAX_SPLITS_PER_NODE, every b of (804, 2) lies farther
     # than that below d/2
     cases = [(d, n) for d in range(1, 41) for n in [*range(1, 41), 200, 1600]]
-    for d, n in [*cases, (804, 2), (1000, 600), (2001, 1200)]:
+    for d, n in [*cases, (120, 1600), (800, 2), (804, 2), (1000, 600), (2001, 1200)]:
         got = list(islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE))
         assert got == _ranked_reference(d, n), (d, n)
 
@@ -411,15 +450,18 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     # The version-1 file recorded before the recursion moved to tuples
     # (sha256 a42b7a19...), with each entry replaced by its dim; then, at
     # version 3, with its 12 keys "d,m,1,0" renamed to their canonical
-    # "d,m,0,0" (the version-2 file hashed to eba98855...).
+    # "d,m,0,0" (the version-2 file hashed to eba98855...).  Re-recorded when
+    # deep-empty systems began to be proved by fewer points: 1180 entries
+    # (sha256 0d1dcca9...) became 763, and each of the 761 keys in both
+    # files has the same dim in both.
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 1180
+    assert len(data["entries"]) == 763
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "0d1dcca96c6c36aab80e23fc5bfd83bd61a6afb8644391f2401e144bb180c2e6"
+        "fa2cb38824e58dd88de350de4d35aea54211e3681b4542f7100e8ce46be93057"
     )
 
 

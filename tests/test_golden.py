@@ -9,7 +9,12 @@ pins every split chosen, every subsystem summary and every base-case
 certificate.  It was re-recorded when every certificate and summary began
 naming the system asked for rather than the first one memoized under its
 canonical key; with each "system" replaced by core.canonical_key, the rows
-hash to 70545cb0... before and after.  The decomposition digest was
+hash to 70545cb0... before and after.  It was re-recorded again when a
+deeply empty system began to be proved empty from its boundary system (the
+fewest points with v <= -1): the 587 rows that changed are EmptyProved
+with dim -1 before and after and now carry the fewer-points certificate,
+and the other 15,289 rows are byte-identical (f71d6a1e... before).
+The decomposition digest was
 recorded before the (-1)-curve candidates became configurations: it pins
 every fixed part's label, total, multiplicity and curve count, in order,
 and the classifier's certificate.
@@ -148,7 +153,7 @@ GOLDEN = [
     (
         "certifier trees d<=20 m<=3",
         certifier_tree_rows,
-        "f71d6a1e60e931b4e18f0ac3bbe5cbe0cd11cdd8ac25f710fe103a63d6fdafc7",
+        "58da8cf0c88b27e6c66f8a348ba75e1c29182d076bc8a7d82e3b840df0235312",
         _histogram_of("outcome"),
     ),
     (
