@@ -7,8 +7,10 @@ m >= 4 the same machinery returns a prediction: proved closed forms where
 they apply, otherwise the (-1)-curve fixed-part accounting, labelled
 Conjectural.
 
-`proved_base_case` is the one base-case dispatch (few points, the special
-table, large m0) shared by `dimension` and the degeneration certifier.
+`base_case_dim` is the one base-case dispatch (few points, the special
+table, large m0), on plain (d, m0, n, m) tuples; `dimension` reaches it
+through `proved_base_case`, which adds the certificate, and the degeneration
+certifier calls it directly.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .core import (
     SoundnessError,
     Status,
     expected_dim,
+    lattice_virtual_dim,
     proved,
-    virtual_dim,
 )
-from .cremona import dim_few_points, dim_large_m0
+from .core import L as _L
+from .cremona import few_points_dim, large_m0_dim
 from .minus_one import SpecialDecomposition, find_special_decomposition
 
 
@@ -115,52 +118,74 @@ class TableMatch:
     decomposition: Optional[SpecialDecomposition] = None
 
 
-def lookup_special_table(
-    L: QuasiHomogeneousSystem, with_decomposition: bool = True
-) -> Optional[TableMatch]:
-    """Match L against the (-1)-special table (m <= 3 only), trying only the
-    families that TABLE_INDEX holds under L's key (m, d - m0).  A system may
-    belong to several families (the fixed sporadic tuples all sit inside a
-    parametric family); every match must agree on (v, l)."""
-    if L.m > 3:
-        raise ValueError(f"special table only covers m <= 3, got {L}")
-    d, m0, n, m = L.as_tuple()
+def _table_match(d: int, m0: int, n: int, m: int) -> Optional[tuple[list[str], int, int]]:
+    """(families, v, l) of L(d, m0, n, m) in the special table, or None,
+    trying only the families that TABLE_INDEX holds under (m, d - m0).  A
+    system may belong to several families (the fixed sporadic tuples all sit
+    inside a parametric family); every match must agree on (v, l)."""
+    families = TABLE_INDEX.get((m, d - m0))
+    if families is None:
+        return None
     hits = [
         (entry.name, got)
-        for entry in TABLE_INDEX.get((m, d - m0), ())
+        for entry in families
         if (got := entry.match(d, m0, n, m)) is not None
     ]
     if not hits:
         return None
     values = {got for _, got in hits}
     if len(values) != 1:
-        raise SoundnessError(f"table families disagree on {L}: {hits}")
+        raise SoundnessError(f"table families disagree on {_L(d, m0, n, m)}: {hits}")
     (v, l) = values.pop()
-    if v != virtual_dim(L):
-        raise SoundnessError(f"table v mismatch for {L}")
-    if l <= expected_dim(L):
-        raise SoundnessError(f"table entry for {L} is not special")
-    match = TableMatch(v=v, l=l, families=[name for name, _ in hits])
+    if v != lattice_virtual_dim(d, m0, n, m):
+        raise SoundnessError(f"table v mismatch for {_L(d, m0, n, m)}")
+    if l <= max(-1, v):
+        raise SoundnessError(f"table entry for {_L(d, m0, n, m)} is not special")
+    return [name for name, _ in hits], v, l
+
+
+def lookup_special_table(
+    L: QuasiHomogeneousSystem, with_decomposition: bool = True
+) -> Optional[TableMatch]:
+    """Match L against the (-1)-special table (m <= 3 only)."""
+    if L.m > 3:
+        raise ValueError(f"special table only covers m <= 3, got {L}")
+    found = _table_match(*L.as_tuple())
+    if found is None:
+        return None
+    families, v, l = found
+    match = TableMatch(v=v, l=l, families=families)
     if with_decomposition:
         match.decomposition = find_special_decomposition(L)
     return match
 
 
-def proved_base_case(L: QuasiHomogeneousSystem) -> Optional[DimensionResult]:
-    """The proved dimension of L from a base case, or None.
+def base_case_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -> Optional[int]:
+    """The proved dimension of L(d, m0, n, m) from a base case, or None.
 
     Tries, in order: few points (n <= 2 or m <= 1), the m <= 3 special
-    table, and the large-m0 closed forms (m0 >= d - m - 1)."""
-    d, m0, n, m = L.as_tuple()
+    table, and the large-m0 closed forms (m0 >= d - m - 1).  Given a dict
+    `via`, it writes the certificate of the rule that answered there.  Takes
+    the plain tuple, so the certifier's recursion builds no system for it."""
     if n <= 2 or m <= 1:
-        return dim_few_points(L)
+        return few_points_dim(d, m0, n, m, via)
     if m <= 3:
-        match = lookup_special_table(L, with_decomposition=False)
-        if match is not None:
-            return proved(L, match.l, {"table": match.families, "v": match.v})
+        found = _table_match(d, m0, n, m)
+        if found is not None:
+            families, v, l = found
+            if via is not None:
+                via.update(table=families, v=v)
+            return l
     if m0 >= d - m - 1:
-        return dim_large_m0(L)
+        return large_m0_dim(d, m0, n, m, via)
     return None
+
+
+def proved_base_case(L: QuasiHomogeneousSystem) -> Optional[DimensionResult]:
+    """base_case_dim of L with its certificate, or None."""
+    via: dict = {}
+    dim = base_case_dim(*L.as_tuple(), via)
+    return None if dim is None else proved(L, dim, via)
 
 
 def dimension(L: QuasiHomogeneousSystem) -> DimensionResult:

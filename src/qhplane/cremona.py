@@ -12,15 +12,15 @@ workhorse base cases of the degeneration recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import (
     DimensionResult,
     QuasiHomogeneousSystem,
-    expected_dim,
+    lattice_virtual_dim,
     multiplicity_one,
     proved,
     trinomial_dim,
-    virtual_dim,
 )
 from .core import L as _L
 
@@ -105,104 +105,142 @@ def reduces_to_line(s: MultiplicitySequence) -> tuple[bool, list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for m0 >= d - m - 1.  Each returns a proved dimension; the
-# status (special or not) follows from it by core.proved.
+# Closed forms for m0 >= d - m - 1.  Each *_dim function takes the tuple
+# (d, m0, n, m) and returns the proved dimension; given a dict `via`, it also
+# writes the certificate of the rule it used there.  The dim_* wrappers
+# return that dimension with its certificate, its status (special or not)
+# following by core.proved.
 # ---------------------------------------------------------------------------
 
 
-def dim_few_points(L: QuasiHomogeneousSystem) -> DimensionResult:
+def _proved_by(closed_form, L: QuasiHomogeneousSystem) -> DimensionResult:
+    via: dict = {}
+    return proved(L, closed_form(*L.as_tuple(), via), via)
+
+
+def few_points_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -> int:
     """Exact dimension when there are at most three fat points in total
-    (n <= 2) or all the n points are simple (m <= 1)."""
-    d, m0, n, m = L.as_tuple()
+    (n <= 2) or all the n points are simple (m <= 1): then they impose n * m
+    simple conditions, none when m = 0."""
     if n <= 2:
         dim = trinomial_dim(d, m0, m if n >= 1 else 0, m if n >= 2 else 0)
     elif m <= 1:
-        dim = multiplicity_one(trinomial_dim(d, m0, 0, 0), n)
+        dim = multiplicity_one(trinomial_dim(d, m0, 0, 0), n * m)
     else:
-        raise ValueError(f"{L} has more than two equal fat points")
-    return proved(L, dim, {"base": "few-points"})
+        raise ValueError(f"{_L(d, m0, n, m)} has more than two equal fat points")
+    if via is not None:
+        via["base"] = "few-points"
+    return dim
 
 
-def dim_m0_eq_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
+def m0_eq_d_minus_m_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -> int:
     """Closed form for L(d, d-m, n, m), 2 <= m <= d.
 
     With d = qm + mu (0 <= mu < m) and n = 2h + eps, the system is special
     exactly when q = h, eps = 0 and mu <= m - 2.
     """
-    d, m0, n, m = L.as_tuple()
     if not (2 <= m <= d) or m0 != d - m:
-        raise ValueError(f"{L} is not of the form L(d, d-m, n, m) with 2 <= m <= d")
+        raise ValueError(f"{_L(d, m0, n, m)} is not of the form L(d, d-m, n, m) with 2 <= m <= d")
     q, mu = divmod(d, m)
     h, eps = divmod(n, 2)
-    cert = {"base": "m0=d-m", "q": q, "mu": mu, "h": h, "eps": eps}
+    if via is not None:
+        via.update(base="m0=d-m", q=q, mu=mu, h=h, eps=eps)
     if q >= h + 1:
-        dim = virtual_dim(L)
-    elif q == h and eps == 0:
-        dim = mu * (mu + 3) // 2
-    else:
-        dim = -1
-    return proved(L, dim, cert)
+        return lattice_virtual_dim(d, m0, n, m)
+    if q == h and eps == 0:
+        return mu * (mu + 3) // 2
+    return -1
 
 
-def dim_m0_eq_d_minus_m_minus_1(L: QuasiHomogeneousSystem) -> DimensionResult:
+def m0_eq_d_minus_m_minus_1_dim(
+    d: int, m0: int, n: int, m: int, via: Optional[dict] = None
+) -> int:
     """Closed form for L(d, d-m-1, n, m), 2 <= m <= d-1.
 
     Here d = q(m-1) + mu with 0 <= mu <= m-2, n = 2h + eps.  Outside the two
     exceptional strata the dimension is the expected one."""
-    d, m0, n, m = L.as_tuple()
     if not (2 <= m <= d - 1) or m0 != d - m - 1:
-        raise ValueError(f"{L} is not of the form L(d, d-m-1, n, m) with 2 <= m <= d-1")
+        raise ValueError(
+            f"{_L(d, m0, n, m)} is not of the form L(d, d-m-1, n, m) with 2 <= m <= d-1"
+        )
     q, mu = divmod(d, m - 1)
     h, eps = divmod(n, 2)
-    cert = {"base": "m0=d-m-1", "q": q, "mu": mu, "h": h, "eps": eps}
+    if via is not None:
+        via.update(base="m0=d-m-1", q=q, mu=mu, h=h, eps=eps)
     if q == h + 1 and mu == 0 and eps == 0 and (m - 1) * (m + 2) >= 4 * h:
-        dim = (m - 1) * (m + 2) // 2 - 2 * h
-    elif q == h and eps == 0 and 4 * q <= mu * (mu + 3):
-        dim = mu * (mu + 3) // 2 - 2 * q
-    else:
-        dim = expected_dim(L)
-    return proved(L, dim, cert)
+        return (m - 1) * (m + 2) // 2 - 2 * h
+    if q == h and eps == 0 and 4 * q <= mu * (mu + 3):
+        return mu * (mu + 3) // 2 - 2 * q
+    return max(-1, lattice_virtual_dim(d, m0, n, m))
 
 
-def dim_m0_ge_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
+def m0_ge_d_minus_m_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -> int:
     """Dimension of L(d, m0, n, m) with m0 >= d - m, via splitting off the n
     lines through p0.
 
     Covers m0 > d (empty), m0 = d and m0 = d - 1 directly, and reduces
     m0 = d - m + k (k >= 1) to the residual L(d-kn, d-kn-m+k, n, m-k)."""
-    d, m0, n, m = L.as_tuple()
     if n == 0 or m == 0:
-        return dim_few_points(L)
+        return few_points_dim(d, m0, n, m, via)
     if m0 > d or m > d:
-        return proved(L, -1, {"base": "mult>deg"})
+        if via is not None:
+            via["base"] = "mult>deg"
+        return -1
     if m0 < d - m:
-        raise ValueError(f"{L} has m0 < d - m")
+        raise ValueError(f"{_L(d, m0, n, m)} has m0 < d - m")
     if m0 == d - m:
-        return dim_few_points(L) if m == 1 else dim_m0_eq_d_minus_m(L)
+        closed_form = few_points_dim if m == 1 else m0_eq_d_minus_m_dim
+        return closed_form(d, m0, n, m, via)
     k = m0 - (d - m)
     # Each line through p0 and a base point meets the system in
     # m0 + m > d points, so splits off; iterated k times per line.
     rd, rm0, rm = d - k * n, m0 - k * n, m - k
-    cert = {"base": "m0=d-m+k", "k": k, "residual": (rd, max(rm0, 0), n, max(rm, 0))}
+    if via is not None:
+        via.update(base="m0=d-m+k", k=k, residual=(rd, max(rm0, 0), n, max(rm, 0)))
     if rd < 0 or rm0 < 0:
         # More line splittings were forced than the degree or p0 could
         # absorb: the leftover multiplicities exceed the leftover degree.
-        return proved(L, -1, cert)
+        return -1
     if rm <= 0:
         # Residual has no conditions at the n points (m0 = d case included).
-        return proved(L, trinomial_dim(rd, rm0, 0, 0), cert)
-    sub = dim_m0_ge_d_minus_m(_L(rd, rm0, n, rm))
-    cert["residual_status"] = sub.status.value
-    return proved(L, sub.dim, cert)
+        return trinomial_dim(rd, rm0, 0, 0)
+    dim = m0_ge_d_minus_m_dim(rd, rm0, n, rm)
+    if via is not None:
+        via["residual_status"] = proved(_L(rd, rm0, n, rm), dim, {}).status.value
+    return dim
+
+
+def large_m0_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -> int:
+    """Dispatch for the whole m0 >= d - m - 1 regime."""
+    if n <= 2 or m <= 1:
+        return few_points_dim(d, m0, n, m, via)
+    if m0 >= d - m:  # includes m0 > d and m > d
+        return m0_ge_d_minus_m_dim(d, m0, n, m, via)
+    if m0 == d - m - 1:
+        return m0_eq_d_minus_m_minus_1_dim(d, m0, n, m, via)
+    raise ValueError(f"{_L(d, m0, n, m)} has m0 < d - m - 1")
+
+
+def dim_few_points(L: QuasiHomogeneousSystem) -> DimensionResult:
+    """few_points_dim of L with its certificate."""
+    return _proved_by(few_points_dim, L)
+
+
+def dim_m0_eq_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
+    """m0_eq_d_minus_m_dim of L with its certificate."""
+    return _proved_by(m0_eq_d_minus_m_dim, L)
+
+
+def dim_m0_eq_d_minus_m_minus_1(L: QuasiHomogeneousSystem) -> DimensionResult:
+    """m0_eq_d_minus_m_minus_1_dim of L with its certificate."""
+    return _proved_by(m0_eq_d_minus_m_minus_1_dim, L)
+
+
+def dim_m0_ge_d_minus_m(L: QuasiHomogeneousSystem) -> DimensionResult:
+    """m0_ge_d_minus_m_dim of L with its certificate."""
+    return _proved_by(m0_ge_d_minus_m_dim, L)
 
 
 def dim_large_m0(L: QuasiHomogeneousSystem) -> DimensionResult:
-    """Dispatch for the whole m0 >= d - m - 1 regime."""
-    d, m0, n, m = L.as_tuple()
-    if n <= 2 or m <= 1:
-        return dim_few_points(L)
-    if m0 >= d - m:  # includes m0 > d and m > d
-        return dim_m0_ge_d_minus_m(L)
-    if m0 == d - m - 1:
-        return dim_m0_eq_d_minus_m_minus_1(L)
-    raise ValueError(f"{L} has m0 < d - m - 1")
+    """large_m0_dim of L with its certificate."""
+    return _proved_by(large_m0_dim, L)

@@ -19,9 +19,11 @@ ends because each step lowers (d, n) lexicographically: LP and hatLP have
 a lower d, LF and hatLF keep d with b < n points, and the fewer-points rule
 keeps d with nb < n points.
 
-The recursion runs on plain (d, m0, n, m) tuples and builds a system object
-only on a memo miss.  Its soundness checks (the split identities and
-semicontinuity) raise SoundnessError, so they also run under `python -O`.
+The recursion runs on plain (d, m0, n, m) tuples: each memo miss goes
+through `Certifier.certify` with its tuple, and below the top nothing builds
+a system object, a DimensionResult or a base-case certificate.  Its
+soundness checks (the split identities and semicontinuity) raise
+SoundnessError, so they also run under `python -O`.
 """
 
 from __future__ import annotations
@@ -227,41 +229,45 @@ class Certifier:
 
     # -- certification ------------------------------------------------------
 
-    def certify(self, L: QuasiHomogeneousSystem, *, tree: bool = True) -> Certificate:
-        """A new certificate naming L.  Only a memo miss counts a node: on a
-        hit, examined before or loaded from a file, the tree is rebuilt from
-        the memoized dims of L's subsystems.  With tree=False the outcome and
-        dim are the same, but no tree is built: the certificate's tree is {}."""
-        key = _KEY % L.canonical_key()
+    def certify(self, L: QuasiHomogeneousSystem | tuple, *, tree: bool = True) -> Certificate:
+        """A new certificate naming L, a system or the tuple (d, m0, n, m)
+        of one, as the recursion passes its subsystems; a tuple is not
+        checked, and the certificate names it as given.  Only a memo miss
+        counts a node: on a hit, examined before or loaded from a file, the
+        tree is rebuilt from the memoized dims of L's subsystems.  With
+        tree=False the outcome and dim are the same, but no tree is built:
+        the certificate's tree is {}."""
+        system = L if type(L) is tuple else L.as_tuple()
+        key = _KEY % canonical_key(*system)
         if key in self.memo:
-            return self._build(L, tree)
+            return self._build(system, tree)
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceeded(f"node budget {self.budget} exhausted at {L}")
-        cert = self._build(L, tree)
+            raise BudgetExceeded(f"node budget {self.budget} exhausted at {_L(*system)}")
+        cert = self._build(system, tree)
         self.memo[key] = cert.dim
         return cert
 
     def _dim(self, t: tuple) -> Optional[int]:
-        """The proved dim of L(*t), or None when unknown.  A miss builds the
-        system and certifies it through certify, which counts the node, with
-        no tree: only the dim is used."""
+        """The proved dim of L(*t), or None when unknown.  A miss certifies
+        the tuple through certify, which counts the node, with no tree: only
+        the dim is used."""
         dim = self.memo.get(_KEY % canonical_key(*t), _MISS)
-        return self.certify(_L(*t), tree=False).dim if dim is _MISS else dim
+        return self.certify(t, tree=False).dim if dim is _MISS else dim
 
-    def _build(self, L: QuasiHomogeneousSystem, tree: bool) -> Certificate:
-        """L's certificate from a base case, an empty boundary system, or the
-        first split whose limit dim is e, certifying the subsystems the memo
-        lacks.  Only with tree set does it build the tree: the base case's
-        certificate, the boundary's summary, the proving split with its
-        subsystem summaries, or the splits tried."""
-        system = d, m0, n, m = L.as_tuple()
+    def _build(self, system: tuple, tree: bool) -> Certificate:
+        """The certificate of L(*system) from a base case, an empty boundary
+        system, or the first split whose limit dim is e, certifying the
+        subsystems the memo lacks.  Only with tree set does it build the
+        tree: the base case's certificate, the boundary's summary, the
+        proving split with its subsystem summaries, or the splits tried."""
+        d, m0, n, m = system
         v = lattice_virtual_dim(d, m0, n, m)
         e = max(-1, v)
-        base = classifier.proved_base_case(L)
-        if base is not None:
-            via = base.certificate if tree else {}
-            return Certificate(system, _outcome(base.dim, e), base.dim, via)
+        via = {} if tree else None
+        dim = classifier.base_case_dim(d, m0, n, m, via)
+        if dim is not None:
+            return Certificate(system, _outcome(dim, e), dim, via if tree else {})
         if v <= -1:
             # Fewer points: L lies in L(d, m0, nb, m) for every nb <= n, so an
             # empty boundary system (the fewest points with v <= -1) empties L.
@@ -291,7 +297,7 @@ class Certifier:
             # and l(L) >= e always.
             if l0 < e:
                 raise SoundnessError(
-                    f"semicontinuity fails for (k,b)=({k},{b}) on {L}: "
+                    f"semicontinuity fails for (k,b)=({k},{b}) on {_L(*system)}: "
                     f"l0={l0} < e={e} from dims {dims}"
                 )
             if l0 == e:

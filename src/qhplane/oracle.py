@@ -40,6 +40,9 @@ from .core import (
 )
 
 MERSENNE_31 = 2**31 - 1
+#: the most entries (rows x monomials of degree d) a condition matrix may
+#: have, 32 MiB of int64; larger inputs are refused before anything is built
+MAX_MATRIX_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,9 @@ def measure_dim_mults(
     The three largest multiplicities sit at the coordinate points and turn
     into column exclusions; the rest sit at random points, and the result
     is the minimum over cfg.trials independent samples.  The loop stops
-    early once a trial reaches max(-1, v), below which no trial can go."""
+    early once a trial reaches max(-1, v), below which no trial can go.
+    Raises ValueError, before building anything, when the sampled points'
+    rows times the (d+1)(d+2)/2 monomials exceed MAX_MATRIX_CELLS."""
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
     if d < 0:
@@ -186,6 +191,15 @@ def measure_dim_mults(
     p = cfg.prime
     active = sorted((m for m in mults if m > 0), reverse=True)
     m0, m1, m2 = (active + [0, 0, 0])[:3]
+    sampled = active[3:]
+    rows = sum(m * (m + 1) // 2 for m in sampled)
+    cols = (d + 1) * (d + 2) // 2
+    if rows * cols > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"the oracle's condition matrix for degree {d} would be {rows} x {cols} "
+            f"({8 * rows * cols:,} bytes of int64), above the cap of "
+            f"{MAX_MATRIX_CELLS:,} entries"
+        )
     # (0:0:1) kills x^a y^b with a + b < m0, (1:0:0) those with
     # b + c < m1 and (0:1:0) those with a + c < m2, where c = d - a - b.
     kept = [
@@ -194,10 +208,8 @@ def measure_dim_mults(
         for b in range(min(d - a, d - m2) + 1)
         if a + b >= m0
     ]
-    sampled = active[3:]
     if not sampled or not kept:
         return len(kept) - 1
-    cols = (d + 1) * (d + 2) // 2
     floor = max(-1, cols - 1 - sum(m * (m + 1) // 2 for m in active))
     best = len(kept) - 1
     for trial in range(cfg.trials):

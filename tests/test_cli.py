@@ -143,6 +143,7 @@ def test_usage_error_exit_2(capsys):
         (["verify", "--d-max", "3", "--n-max", "-1"], "--n-max must be at least 0"),
         (["verify", "--d-max", "3", "--n-max", "3", "--m-max", "0"], "--m-max must be at least 1"),
         (["verify", "--d-max", "3", "--n-max", "3", "--workers", "0"], "--workers must be at least 1"),
+        (["oracle", "100", "0", "60", "5"], "would be 855 x 5151"),
     ],
 )
 def test_invalid_value_exits_2(capsys, argv, message):

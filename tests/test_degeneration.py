@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhplane import classifier, degeneration
-from qhplane.core import L, DimensionResult, Status, expected_dim, virtual_dim
+from qhplane.core import L, Status, expected_dim, virtual_dim
 from qhplane.degeneration import (
     MAX_SPLITS_PER_NODE,
     BudgetExceeded,
@@ -252,7 +252,7 @@ def test_cache_hit_rederives_its_dim(tmp_path):
 
 def test_budget_exceeded():
     cf = Certifier(budget=3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(9,6,5,3\)$"):
         cf.certify(L(12, 0, 13, 3))
 
 
@@ -313,6 +313,10 @@ def test_node_counts_are_pinned(system, nodes):
         got = cf.certify(L(*sub["system"]))
         assert (got.system, got.outcome, got.dim) == (sub["system"], sub["outcome"], sub["dim"])
     assert cf.nodes == nodes
+    # certify takes the tuple as it takes the system, as the recursion does
+    by_tuple = Certifier()
+    assert by_tuple.certify(system) == cert
+    assert by_tuple.nodes == nodes
 
 
 def test_treeless_certify_matches_the_full_certificate():
@@ -428,15 +432,15 @@ def test_semicontinuity_is_checked(monkeypatch):
     # A wrong base case: claiming the four subsystems of L(5,0,6,2)'s first
     # split empty gives l0 = -1 < e = 2.
     forged = {(4, 0, 3, 2), (5, 4, 3, 2), (3, 0, 3, 2), (5, 5, 3, 2)}
-    real = classifier.proved_base_case
+    real = classifier.base_case_dim
 
-    def base_case(sys_):
-        if sys_.as_tuple() in forged:
-            return DimensionResult(-1, Status.EMPTY_PROVED, {"forged": True})
-        return real(sys_)
+    def base_case(d, m0, n, m, via=None):
+        if (d, m0, n, m) in forged:
+            return -1
+        return real(d, m0, n, m, via)
 
-    monkeypatch.setattr(classifier, "proved_base_case", base_case)
-    with pytest.raises(SoundnessError, match="semicontinuity"):
+    monkeypatch.setattr(classifier, "base_case_dim", base_case)
+    with pytest.raises(SoundnessError, match=r"semicontinuity fails .* on L\(5,0,6,2\)"):
         Certifier().certify(L(5, 0, 6, 2))
 
 

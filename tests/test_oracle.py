@@ -10,6 +10,7 @@ from qhplane.cli import main
 from qhplane.core import L, expected_dim, trinomial_dim
 from qhplane.oracle import (
     DEFAULT_CONFIG,
+    MAX_MATRIX_CELLS,
     MERSENNE_31,
     OracleConfig,
     condition_rows,
@@ -264,6 +265,17 @@ def test_large_class_on_the_small_matrix(rank_calls):
     # with three points at the coordinate points it is 420 x 421.
     assert measure_dim(L(56, 48, 17, 7)).dim == 0
     assert rank_calls == [(420, 421)]
+
+
+def test_oversized_input_is_refused_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("a condition matrix was built")
+
+    monkeypatch.setattr(oracle, "condition_rows", build)
+    # L(100,0,60,5): 57 sampled points of 15 rows each, times 5151 monomials
+    assert 855 * 5151 > MAX_MATRIX_CELLS
+    with pytest.raises(ValueError, match=r"855 x 5151 \(35,232,840 bytes"):
+        measure_dim(L(100, 0, 60, 5))
 
 
 def test_rejects_prime_above_int64_safe_range():
