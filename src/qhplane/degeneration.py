@@ -31,9 +31,12 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat, starmap
 from typing import Iterator, Optional
+
+import numpy as np
 
 from . import classifier
 from .core import (
@@ -60,6 +63,9 @@ MAX_SPLITS_PER_NODE = 400
 _KEY = "%d,%d,%d,%d"
 #: what a memo lookup returns on a miss; a stored None (unknown dim) is a hit
 _MISS = object()
+#: a key as _KEY writes it with every integer below 10^7: no sign, space or
+#: leading zero, so the bulk check's int64 arithmetic cannot overflow
+_KEY_FORM = re.compile(",".join(["(?:0|[1-9][0-9]{0,6})"] * 4)).fullmatch
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,10 @@ class Certifier:
         of entries, and, naming the key too, on a key that is not the
         canonical key of a system with entries up to MAX_INPUT or a dim that
         is neither null nor an int from e to the dim of L(d, m0).  Every
-        entry is checked, used or not.  The entries carry no proof: a dim in
+        entry is checked at load, used or not, in one vectorised pass
+        (_entries_ok); only when that pass finds a bad entry does
+        _check_entry run entry by entry to name the first one.  New entries
+        join the memo in file order.  The entries carry no proof: a dim in
         that interval is trusted."""
         if not os.path.exists(path):
             return 0
@@ -207,17 +216,18 @@ class Certifier:
             raise ValueError(f"{path}: not a JSON object with an object of entries")
         if data.get("version") != CACHE_VERSION:
             return 0
+        entries = data.get("entries", {})
+        if not _entries_ok(entries):
+            for key, dim in entries.items():
+                try:
+                    _check_entry(key, dim)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
         memo = self.memo
-        loaded = 0
-        for key, dim in data.get("entries", {}).items():
-            try:
-                _check_entry(key, dim)
-            except ValueError as exc:
-                raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
-            if key not in memo:
-                memo[key] = dim
-                loaded += 1
-        return loaded
+        if memo:
+            entries = {key: dim for key, dim in entries.items() if key not in memo}
+        memo.update(entries)
+        return len(entries)
 
     def save_cache(self, path: str) -> None:
         # json.dumps runs the C encoder; json.dump to a file does not
@@ -357,7 +367,8 @@ def _ranked_splits(d: int, n: int) -> Iterator[tuple[int, int]]:
 
 
 def _check_entry(key: str, dim: object) -> None:
-    """Check a cache entry key -> dim.
+    """Check a cache entry key -> dim: the reference for _entries_ok, which
+    load_cache runs first, and the check that names a bad entry.
 
     Raises ValueError when the key is not core.canonical_key of a system as
     four plain decimal integers up to MAX_INPUT (checked by formatting the
@@ -380,6 +391,35 @@ def _check_entry(key: str, dim: object) -> None:
         raise ValueError(
             f"dim {dim!r} is not null or an integer from e = {e} to {top}, the dim of L({d},{m0})"
         )
+
+
+def _entries_ok(entries: dict) -> bool:
+    """Whether _check_entry accepts every entry of a cache file's entries
+    object, checked in one pass over all of them.
+
+    Each key must be written as _KEY writes it, be canonical ((n == 0) ==
+    (m == 0), and not n == 1 with m > m0) and stay within MAX_INPUT; each dim
+    must be None or an int from e to the dim of L(d, m0).  The keys' integers
+    are parsed into int64 columns and the bounds come from the one
+    virtual-dimension formula on them.  The dims become float64 with None as
+    NaN: a float64 holds every int below 2^53 in magnitude exactly, and every
+    bound lies below that, so a larger int stays out of its interval."""
+    keys = entries.keys()
+    dims = list(entries.values())
+    if not (all(map(_KEY_FORM, keys)) and set(map(type, dims)) <= {int, type(None)}):
+        return False
+    systems = np.fromstring(",".join(keys), dtype=np.int64, sep=",").reshape(-1, 4)
+    if (systems > MAX_INPUT).any():
+        return False
+    d, m0, n, m = systems.T
+    try:
+        dim = np.array(dims, dtype=np.float64)
+    except OverflowError:  # an int beyond float64's range
+        return False
+    e = np.maximum(-1, lattice_virtual_dim(d, m0, n, m))
+    top = np.maximum(-1, lattice_virtual_dim(d, m0, 0, 0))
+    canonical = ((n == 0) == (m == 0)) & ~((n == 1) & (m > m0))
+    return bool((canonical & (np.isnan(dim) | ((e <= dim) & (dim <= top)))).all())
 
 
 def certify(

@@ -14,7 +14,7 @@ order a + b at (0:0:1), b + c at (1:0:0) and a + c at (0:1:0).  They become
 column exclusions, and only the monomials with a + b >= m0, a <= d - m1 and
 b <= d - m2 get a column.  The remaining points are sampled at random in
 the chart z = 1 and give the only rows; with no point left to sample the
-count of kept columns is exact.
+count of kept columns, taken row by row without listing them, is exact.
 
 The result is an upper bound on the dimension over the complex numbers:
 the rank at any particular choice of points, over F_p or over Q, is at most
@@ -201,17 +201,20 @@ def measure_dim_mults(
             f"{MAX_MATRIX_CELLS:,} entries"
         )
     # (0:0:1) kills x^a y^b with a + b < m0, (1:0:0) those with
-    # b + c < m1 and (0:1:0) those with a + c < m2, where c = d - a - b.
+    # b + c < m1 and (0:1:0) those with a + c < m2, where c = d - a - b:
+    # row a <= d - m1 keeps b from max(0, m0 - a) to min(d - a, d - m2).
+    # Count the rows' columns first: with no point to sample, the count is
+    # the answer and no monomial is listed.
+    ncols = sum(max(0, min(d - a, d - m2) - max(0, m0 - a) + 1) for a in range(d - m1 + 1))
+    if not sampled or not ncols:
+        return ncols - 1
     kept = [
         (a, b)
         for a in range(d - m1 + 1)
-        for b in range(min(d - a, d - m2) + 1)
-        if a + b >= m0
+        for b in range(max(0, m0 - a), min(d - a, d - m2) + 1)
     ]
-    if not sampled or not kept:
-        return len(kept) - 1
     floor = max(-1, cols - 1 - sum(m * (m + 1) // 2 for m in active))
-    best = len(kept) - 1
+    best = ncols - 1
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial, d, len(active)])
         coords = rng.integers(0, p, size=(len(sampled), 2), dtype=np.int64)

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhplane import classifier, degeneration
-from qhplane.core import L, Status, expected_dim, virtual_dim
+from qhplane.core import (
+    L,
+    Status,
+    canonical_key,
+    expected_dim,
+    lattice_virtual_dim,
+    virtual_dim,
+)
 from qhplane.degeneration import (
     MAX_SPLITS_PER_NODE,
     BudgetExceeded,
@@ -222,6 +229,134 @@ def test_load_cache_rejects_tampered_entries(tmp_path, key, entry):
     with pytest.raises(ValueError) as exc:
         Certifier().load_cache(path)
     assert path in str(exc.value) and (key is None or repr(key) in str(exc.value))
+
+
+def _reference_accepts(entries):
+    try:
+        for key, dim in entries.items():
+            degeneration._check_entry(key, dim)
+    except ValueError:
+        return False
+    return True
+
+
+# rewrites of one key field that int() reads but _KEY never writes
+_EDITS = [
+    "0{}".format,
+    "00{}".format,
+    "+{}".format,
+    "-{}".format,
+    " {}".format,
+    "{} ".format,
+    "{}\n".format,
+    "{}_0".format,
+    lambda f: f.translate({ord("0") + i: 0x660 + i for i in range(10)}),  # Arabic-Indic
+]
+
+
+def _edge_dims(key):
+    """Null, the ends of the interval from e to the dim of L(d, m0) of the
+    system a key names as int() reads it, one past each end, and values
+    that are not ints: bools, a float, a str, a list and ints far outside."""
+    try:
+        d, m0, n, m = map(int, key.split(","))
+    except ValueError:
+        d = m0 = n = m = 0
+    e = max(-1, lattice_virtual_dim(d, m0, n, m))
+    top = max(-1, lattice_virtual_dim(d, m0, 0, 0))
+    huge = [2**64, -(2**64), 10**400]
+    return [None, e, top, e - 1, top + 1, True, False, float(e), str(e), [e]] + huge
+
+
+@st.composite
+def _cache_entries(draw):
+    """(key, dim) pairs on both sides of what a cache file may hold.
+
+    The key is a system's, canonical or not, often with one field rewritten
+    (leading zeros, a sign, spaces, non-ASCII digits, a 7- or 8-digit
+    value) or a field too few or too many.  The dim is one of _edge_dims,
+    inside the interval, a float or any int."""
+    system = draw(st.tuples(*map(st.integers, (0, 0, 0, 0), (8, 9, 3, 4))))
+    if draw(st.booleans()):
+        system = canonical_key(*system)
+    fields = list(map(str, system))
+    i = draw(st.integers(0, 3))
+    how = draw(st.sampled_from(["keep", "keep", "keep", "edit", "big", "count"]))
+    if how == "edit":
+        fields[i] = draw(st.sampled_from(_EDITS))(fields[i])
+    elif how == "big":
+        big = st.sampled_from([10**6, 10**6 + 1, 9999999, 10**7]) | st.integers(10**6, 10**8)
+        fields[i] = str(draw(big))
+    elif how == "count":
+        fields = fields[:3] if draw(st.booleans()) else fields + ["0"]
+    key = ",".join(fields)
+    edges = _edge_dims(key)
+    inside = st.integers(*sorted(edges[1:3]))
+    dim = draw(st.sampled_from(edges) | inside | inside | st.floats() | st.integers())
+    return key, dim
+
+
+@settings(max_examples=1000)
+@given(st.lists(_cache_entries(), min_size=1, max_size=3))
+def test_bulk_check_accepts_what_the_reference_accepts(pairs):
+    entries = dict(pairs)
+    assert degeneration._entries_ok(entries) == _reference_accepts(entries)
+    for key in entries:
+        for dim in _edge_dims(key):
+            entry = {key: dim}
+            assert degeneration._entries_ok(entry) == _reference_accepts(entry), (key, dim)
+
+
+def test_bulk_check_on_single_entries():
+    assert degeneration._entries_ok({})
+    for key, dim in _UNTRUSTED:
+        if key is not None:
+            assert not degeneration._entries_ok({"7,0,8,3": -1, key: dim}), (key, dim)
+    accepted = {"4,0,5,2": 0, "10,3,0,0": 59, "7,0,8,3": -1, "6,0,9,2": None, "1000000,0,0,0": None}
+    assert degeneration._entries_ok(accepted) and _reference_accepts(accepted)
+
+
+@pytest.mark.parametrize(
+    "key, dim",
+    [
+        ("41,0,50,3", 903),  # above 902, the dim of L(41,0)
+        ("41,0,50,3", True),
+        ("41,0,50,3", 2**64),
+        ("041,0,50,3", -1),
+        ("40,0,0,3", 860),  # not canonical
+        ("1000001,0,0,0", None),
+    ],
+)
+def test_tampered_entry_after_the_full_ladder_is_named(tmp_path, key, dim):
+    # perfbench's 62-call ladder leaves 2,212 entries; one bad entry after
+    # all of them is still found and named
+    path = str(tmp_path / "cache.json")
+    _ladder_cache(path, 62)
+    with open(path) as fh:
+        data = json.load(fh)
+    assert len(data["entries"]) == 2212 and key not in data["entries"]
+    data["entries"][key] = dim
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ValueError, match="untrusted cache entry") as exc:
+        Certifier().load_cache(path)
+    assert str(exc.value).startswith(f"{path}: untrusted cache entry {key!r}: ")
+
+
+def test_load_cache_keeps_file_order_and_the_memo(tmp_path):
+    path = str(tmp_path / "cache.json")
+    _ladder_cache(path, 4)
+    with open(path) as fh:
+        entries = json.load(fh)["entries"]
+    fresh = Certifier()
+    assert fresh.load_cache(path) == len(entries)
+    assert list(fresh.memo.items()) == list(entries.items())
+    first, second = list(entries)[:2]
+    grown = Certifier()
+    grown.memo = {second: entries[second], "3,0,0,0": 9}
+    assert grown.load_cache(path) == len(entries) - 1
+    assert list(grown.memo)[:3] == [second, "3,0,0,0", first]
+    assert grown.memo == {**entries, "3,0,0,0": 9}
 
 
 def test_load_cache_accepts_consistent_entries(tmp_path):

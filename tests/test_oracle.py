@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -258,6 +260,29 @@ def test_three_points_build_no_matrix(rank_calls):
             assert measure_dim_mults(d, mults) == expected
             assert trinomial_dim(d, m0, m1, m2) == expected
     assert rank_calls == []
+
+
+def test_three_points_count_without_listing():
+    # 5 * 10^9 monomials if listed; compared with the closed form here only
+    tracemalloc.start()
+    try:
+        dim = measure_dim_mults(10**5, [1, 1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == trinomial_dim(10**5, 1, 1, 1)
+    assert peak < 1 << 20
+
+
+def test_three_point_count_matches_the_listed_monomials():
+    # x^a y^b z^c vanishes to order a + b at (0:0:1), b + c at (1:0:0) and
+    # a + c at (0:1:0); list the survivors of every sorted triple, d <= 30
+    for d in range(31):
+        a, b = np.array([(a, b) for a in range(d + 1) for b in range(d + 1 - a)]).T
+        c = d - a - b
+        for m0, m1, m2 in combinations_with_replacement(range(d + 1, -1, -1), 3):
+            listed = np.count_nonzero((a + b >= m0) & (b + c >= m1) & (a + c >= m2))
+            assert measure_dim_mults(d, [m2, m0, m1]) == listed - 1, (d, m0, m1, m2)
 
 
 def test_large_class_on_the_small_matrix(rank_calls):
