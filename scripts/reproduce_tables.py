@@ -29,12 +29,9 @@ PROVED_OMISSION = ("56", "48", "17", "7")
 def classes_table() -> int:
     """Print the class table; return the number of unexplained rows."""
     print("== (-1)-classes, m <= 7 ==")
-    concrete = []
-    for c in minus_one.enumerate_qh_classes(7):
-        if c.family in ("Line", "Conic5") or (c.family == "LinePencil" and c.e == 1):
-            concrete.append(c)
-        elif c.family == "Hyperbola":
-            concrete.append(c)
+    concrete = [
+        c for c in minus_one.enumerate_qh_classes(7) if c.family != "LinePencil" or c.e == 1
+    ]
     reference = {
         PENCIL_ROW_AT_E1 if row[:4] == PENCIL_ROW else row[:4]
         for row in tables.QH1LIST_ROWS

@@ -8,9 +8,8 @@ they apply, otherwise the (-1)-curve fixed-part accounting, labelled
 Conjectural.
 
 `base_case_dim` is the one base-case dispatch (few points, the special
-table, large m0), on plain (d, m0, n, m) tuples; `dimension` reaches it
-through `proved_base_case`, which adds the certificate, and the degeneration
-certifier calls it directly.
+table, large m0), on plain (d, m0, n, m) tuples; `dimension` and the
+degeneration certifier both call it.
 """
 
 from __future__ import annotations
@@ -181,13 +180,6 @@ def base_case_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -
     return None
 
 
-def proved_base_case(L: QuasiHomogeneousSystem) -> Optional[DimensionResult]:
-    """base_case_dim of L with its certificate, or None."""
-    via: dict = {}
-    dim = base_case_dim(*L.as_tuple(), via)
-    return None if dim is None else proved(L, dim, via)
-
-
 def dimension(L: QuasiHomogeneousSystem) -> DimensionResult:
     """Generic dimension of L with the strongest available status.
 
@@ -195,12 +187,13 @@ def dimension(L: QuasiHomogeneousSystem) -> DimensionResult:
     everything else is non-special).  m >= 4: exact in the few-point and
     large-m0 regimes, otherwise a Conjectural value from the (-1)-curve
     fixed-part accounting."""
-    base = proved_base_case(L)
-    if base is not None:
-        if "table" in base.certificate:
+    via: dict = {}
+    dim = base_case_dim(*L.as_tuple(), via)
+    if dim is not None:
+        if "table" in via:
             decomp = find_special_decomposition(L)
-            base.certificate["decomposition"] = decomp.to_dict() if decomp else None
-        return base
+            via["decomposition"] = decomp.to_dict() if decomp else None
+        return proved(L, dim, via)
     if L.m <= 3:
         return proved(L, expected_dim(L), {"theorem": "m<=3 complete classification"})
     decomp = find_special_decomposition(L)

@@ -5,9 +5,9 @@ point of multiplicity m0 at one general point p0 and multiplicity m at n
 further general points.  This module holds the system type, the one status
 vocabulary shared by the classifier and the certifier, the virtual /
 expected dimension bookkeeping with the rule that turns a proved dimension
-into a proved status, the intersection pairing, and the two elementary
-dimension computations (simple base points, and up to three fat points via
-a lattice-point count) used as recursion base cases everywhere else.
+into a proved status, the intersection pairing, and the closed-form
+dimension of up to three fat points (a count of monomials by
+inclusion-exclusion) that the base cases everywhere else rest on.
 """
 
 from __future__ import annotations
@@ -165,38 +165,31 @@ def intersect(
     return a.d * b.d - a.m0 * b.m0 - n_shared * a.m * b.m
 
 
-def multiplicity_one(dim_M: int, n: int) -> int:
-    """Dimension after imposing n general simple base points on a system of
-    dimension dim_M."""
-    if dim_M < -1:
-        raise ValueError("dim_M must be at least -1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return max(-1, dim_M - n)
-
-
 def trinomial_dim(d: int, m0: int, m1: int, m2: int) -> int:
     """Exact generic dimension of plane curves of degree d with three fat
     points of multiplicities m0, m1, m2.
 
     Three general points are projectively equivalent to the coordinate
-    points, where the conditions are monomial: a monomial x^a y^b z^c
-    survives iff a <= d - m0, b <= d - m1, c <= d - m2.  Returns the count
-    of surviving monomials minus one (so an empty system gives -1).
+    points, where the conditions are monomial: a monomial x^a y^b z^c of
+    degree d survives iff a <= d - m0, b <= d - m1, c <= d - m2.  With T(k)
+    the number of monomials of degree k (0 for k < 0), inclusion-exclusion
+    over the violated bounds counts the survivors in closed form; returns
+    that count minus one (so an empty system gives -1).
     """
     if d < 0:
         return -1
-    for value in (m0, m1, m2):
-        if value < 0:
-            raise ValueError("multiplicities must be non-negative")
-    count = 0
-    a_max, b_max, c_max = d - m0, d - m1, d - m2
-    if a_max < 0 or b_max < 0 or c_max < 0:
+    if min(m0, m1, m2) < 0:
+        raise ValueError("multiplicities must be non-negative")
+    if max(m0, m1, m2) > d:
         return -1
-    for a in range(0, a_max + 1):
-        # b + c = d - a with b <= b_max, c <= c_max.
-        lo = max(0, d - a - c_max)
-        hi = min(b_max, d - a)
-        if hi >= lo:
-            count += hi - lo + 1
+
+    def T(k: int) -> int:
+        return (k + 1) * (k + 2) // 2 if k >= 0 else 0
+
+    count = (
+        T(d)
+        - T(m0 - 1) - T(m1 - 1) - T(m2 - 1)
+        + T(m0 + m1 - d - 2) + T(m0 + m2 - d - 2) + T(m1 + m2 - d - 2)
+        - T(m0 + m1 + m2 - 2 * d - 3)
+    )
     return count - 1

@@ -18,7 +18,6 @@ from .core import (
     DimensionResult,
     QuasiHomogeneousSystem,
     lattice_virtual_dim,
-    multiplicity_one,
     proved,
     trinomial_dim,
 )
@@ -120,12 +119,13 @@ def _proved_by(closed_form, L: QuasiHomogeneousSystem) -> DimensionResult:
 
 def few_points_dim(d: int, m0: int, n: int, m: int, via: Optional[dict] = None) -> int:
     """Exact dimension when there are at most three fat points in total
-    (n <= 2) or all the n points are simple (m <= 1): then they impose n * m
-    simple conditions, none when m = 0."""
+    (n <= 2) or all the n points are simple (m <= 1): simple general points
+    impose independent conditions on L(d, m0), which is non-special, so the
+    dimension is the expected one."""
     if n <= 2:
         dim = trinomial_dim(d, m0, m if n >= 1 else 0, m if n >= 2 else 0)
     elif m <= 1:
-        dim = multiplicity_one(trinomial_dim(d, m0, 0, 0), n * m)
+        dim = max(-1, lattice_virtual_dim(d, m0, n, m))
     else:
         raise ValueError(f"{_L(d, m0, n, m)} has more than two equal fat points")
     if via is not None:

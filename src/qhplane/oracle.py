@@ -28,6 +28,7 @@ are limited to p <= 2^31 - 1 so that products of two residues fit in int64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,14 +68,7 @@ class OracleConfig:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
+    return p >= 2 and all(p % i for i in range(2, isqrt(p) + 1))
 
 
 DEFAULT_CONFIG = OracleConfig()

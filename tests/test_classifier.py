@@ -186,15 +186,16 @@ def test_table_index_loses_no_family():
     assert matched == {e.name for e in SPECIAL_TABLE}
 
 
-def test_tuple_dispatch_matches_proved_base_case():
+def test_tuple_dispatch_matches_the_normalised_system():
     # every (d, m0, n, m) with d <= 30, m0 <= d + 2, n <= 20 and m <= 8: the
-    # tuple dispatch gives the dim the classifier's base case gives the
-    # system, or None for both, also on the tuples that the system
+    # tuple dispatch gives the raw tuple the dim and certificate it gives the
+    # system's tuple, or None for both, also on the tuples that the system
     # normalises (n = 0 or m = 0 alone)
     for d in range(0, 31):
         for m0 in range(0, d + 3):
             for n in range(0, 21):
                 for m in range(0, 9):
-                    base = classifier.proved_base_case(L(d, m0, n, m))
-                    want = None if base is None else base.dim
-                    assert classifier.base_case_dim(d, m0, n, m) == want, (d, m0, n, m)
+                    raw, system = {}, {}
+                    got = classifier.base_case_dim(d, m0, n, m, raw)
+                    want = classifier.base_case_dim(*L(d, m0, n, m).as_tuple(), system)
+                    assert (got, raw) == (want, system), (d, m0, n, m)

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,10 +12,10 @@ from qhplane.core import (
     expected_dim,
     intersect,
     invariants,
-    multiplicity_one,
     trinomial_dim,
     virtual_dim,
 )
+from qhplane.cremona import few_points_dim
 
 systems = st.builds(
     L,
@@ -88,11 +90,42 @@ def test_intersect():
         intersect(a, b, 10)
 
 
-def test_multiplicity_one():
-    assert multiplicity_one(5, 3) == 2
-    assert multiplicity_one(5, 9) == -1
-    with pytest.raises(ValueError):
-        multiplicity_one(-2, 1)
+def test_simple_points_impose_independent_conditions():
+    # n general simple points on L(d, m0): n * m conditions, none when m = 0
+    for d in range(0, 30):
+        for m0 in range(0, 35):
+            one_point = trinomial_dim(d, m0, 0, 0)
+            for n in range(0, 40):
+                for m in (0, 1):
+                    want = max(-1, one_point - n * m)
+                    assert few_points_dim(d, m0, n, m) == want, (d, m0, n, m)
+
+
+def _rows_trinomial_dim(d, m0, m1, m2):
+    """Reference count: the surviving monomials x^a y^b z^c, row by row in a."""
+    if d < 0:
+        return -1
+    a_max, b_max, c_max = d - m0, d - m1, d - m2
+    if a_max < 0 or b_max < 0 or c_max < 0:
+        return -1
+    count = 0
+    for a in range(0, a_max + 1):
+        # b + c = d - a with b <= b_max, c <= c_max.
+        lo = max(0, d - a - c_max)
+        hi = min(b_max, d - a)
+        if hi >= lo:
+            count += hi - lo + 1
+    return count - 1
+
+
+def test_trinomial_dim_matches_the_row_count():
+    for m2, m1, m0 in combinations_with_replacement(range(33), 3):
+        for d in range(-2, 31):
+            assert trinomial_dim(d, m0, m1, m2) == _rows_trinomial_dim(d, m0, m1, m2)
+    d = 10**5
+    for mults in [(0, 0, 0), (d, 0, 0), (d // 2, d // 2, d // 2), (70000, 60000, 50000),
+                  (d, d, d), (d - 1, d - 1, 1), (99999, 50001, 50000)]:
+        assert trinomial_dim(d, *mults) == _rows_trinomial_dim(d, *mults), mults
 
 
 def test_trinomial_dim_examples():
