@@ -119,9 +119,10 @@ class TableMatch:
 
 def _table_match(d: int, m0: int, n: int, m: int) -> Optional[tuple[list[str], int, int]]:
     """(families, v, l) of L(d, m0, n, m) in the special table, or None,
-    trying only the families that TABLE_INDEX holds under (m, d - m0).  A
-    system may belong to several families (the fixed sporadic tuples all sit
-    inside a parametric family); every match must agree on (v, l)."""
+    trying only the families that TABLE_INDEX holds under (m, d - m0).  No
+    system belongs to two families today (the fixed sporadic tuples have keys
+    that hold no parametric family); should an edit make two families
+    overlap, every match must agree on (v, l)."""
     families = TABLE_INDEX.get((m, d - m0))
     if families is None:
         return None

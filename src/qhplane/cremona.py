@@ -29,16 +29,11 @@ class MultiplicitySequence:
     """(degree; multiplicities), index 0 distinguished.
 
     Negative entries are allowed during class computations (the
-    transformation acts on the Picard lattice); `is_effective` gates any
-    dimension claim.
+    transformation acts on the Picard lattice).
     """
 
     degree: int
     mults: tuple[int, ...]
-
-    @property
-    def is_effective(self) -> bool:
-        return self.degree >= 0 and all(m >= 0 for m in self.mults)
 
     def dropped_zeros(self) -> "MultiplicitySequence":
         return MultiplicitySequence(self.degree, tuple(m for m in self.mults if m != 0))

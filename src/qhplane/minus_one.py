@@ -5,12 +5,13 @@ A quasi-homogeneous (-1)-class is a system with self-intersection -1 and
 arithmetic genus 0; the two conditions reduce, after two changes of
 variables, to factorizations x*y = (m-1)(2m+1), so the classes can be
 enumerated exactly.  Orbits of non-quasi-homogeneous (-1)-curves under
-permutation of the n points give the compound configurations; one
-Diophantine scan (`_minus_one_curves`) finds their members.  A system
-meeting such a curve to order -N <= -2 contains it N times in its base
-locus and is therefore special; `find_special_decomposition` searches for
-that situation, with the configurations on the system's n points as the
-candidate fixed parts.
+permutation of the n points give the compound configurations; genus zero
+and disjointness of the members solve for the member's last multiplicity
+and n, so one loop over (delta, mu0) (`_minus_one_curves`) finds their
+members.  A system meeting such a curve to order -N <= -2 contains it N
+times in its base locus and is therefore special;
+`find_special_decomposition` searches for that situation, with the
+configurations on the system's n points as the candidate fixed parts.
 """
 
 from __future__ import annotations
@@ -170,27 +171,28 @@ def homogeneous_form(L: QuasiHomogeneousSystem) -> Optional[QuasiHomogeneousSyst
 
 
 def _minus_one_curves(delta: int):
-    """The (mu0, mu1, mu2, n) with mu2 >= 1, |mu1 - mu2| = 1 and n >= 2 for
-    which (delta; mu0, mu1, mu2^(n-1)) is a (-1)-class of genus zero.
+    """The (mu0, mu1, mu2, n) with mu2 >= 1, |mu1 - mu2| = 1 and n >= 3 for
+    which (delta; mu0, mu1, mu2^(n-1)) is a (-1)-class of genus zero whose
+    n orbit members are pairwise disjoint, ascending in mu0.
 
-    Disjointness of the orbit members pins n: delta^2 - mu0^2 - 2 mu1 mu2
-    = (n - 2) mu2^2."""
-    for mu0 in range(0, delta + 1):
-        for mu2 in range(1, delta + 1):
-            for mu1 in (mu2 - 1, mu2 + 1):
-                num = delta**2 - mu0**2 - 2 * mu1 * mu2
-                if mu1 < 0 or num % mu2**2:
-                    continue
-                n = num // mu2**2 + 2
-                if n < 2:
-                    continue
-                # self-intersection -1 ...
-                if delta**2 - mu0**2 - mu1**2 - (n - 1) * mu2**2 != -1:
-                    continue
-                # ... and genus zero.
-                if 3 * delta - mu0 - mu1 - (n - 1) * mu2 != 1:
-                    continue
-                yield mu0, mu1, mu2, n
+    With s = mu1 - mu2 and a = 3 delta - 1 - mu0, genus zero gives
+    (n - 1) mu2 = a - mu1, so n mu2 = a - s, and disjointness gives
+    delta^2 - mu0^2 - 2 mu1 mu2 = (n - 2) mu2^2; together they pin
+    mu2 = (delta^2 - mu0^2) / (a + s).  They imply self-intersection -1:
+    L^2 minus the disjointness form is -(mu1 - mu2)^2.  For mu0 < delta,
+    a + s >= 2 delta - 1 >= 1, and mu2 <= delta and n >= 3 follow.
+    mu0 = delta gives mu2 = 0, except for the 0 / 0 of (1; 1, 0, 1) on
+    n = 2 points: the two lines through p0, an orbit of the mu2 = 0 family.
+    Both signs at one mu0 would need mu2 | a - 1 with (a + 1) mu2 =
+    delta^2 - mu0^2, and the same with the signs swapped, which forces
+    delta^2 - mu0^2 >= (a^2 - 1) / 2 > delta^2, as a >= 2 delta: at most one
+    sign solves."""
+    for mu0 in range(delta):
+        a = 3 * delta - 1 - mu0
+        for s in (1, -1):
+            mu2, r = divmod(delta**2 - mu0**2, a + s)
+            if r == 0 and (a - s) % mu2 == 0:
+                yield mu0, mu2 + s, mu2, (a - s) // mu2
 
 
 @lru_cache(maxsize=256)
@@ -200,17 +202,14 @@ def enumerate_configurations(
     """Quasi-homogeneous (-1)-configurations with total multiplicity
     m = mu1 + (n-1) mu2 <= m_max.
 
-    Compound case: for mu2 >= 1 the disjointness condition pins n, and the
-    member must be a genuine (-1)-curve (self-intersection, genus, and
-    reduction to a line by Cremona transformations); mu2 = 0 forces
+    Compound case: for mu2 >= 1, genus zero and disjointness solve for mu2
+    and n given delta, mu0 and the sign of mu1 - mu2 (`_minus_one_curves`,
+    one candidate per sign), and the member must be a genuine (-1)-curve,
+    reducing to a line by Cremona transformations; mu2 = 0 forces
     (delta, mu0, mu1) = (1, 1, 1), the family of the e lines through p0,
     truncated at e_max.  Non-compound case: every quasi-homogeneous
     (-1)-class counts as a single-curve configuration.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if e_max < 0:
-        raise ValueError("e_max must be >= 0")
     found: list[MinusOneConfiguration] = []
     # Single-curve configurations.
     for c in enumerate_qh_classes(m_max, e_max=e_max):
@@ -223,10 +222,7 @@ def enumerate_configurations(
     # Genus 0 gives 3 delta - mu0 - m = 1 and mu0 <= delta, so m >= 2 delta - 1.
     for delta in range(1, (m_max + 1) // 2 + 1):
         for mu0, mu1, mu2, n in _minus_one_curves(delta):
-            # The only n = 2 solution is (1; 1, 0, 1), the two lines through
-            # p0 with the mu1 / mu2 roles swapped: the family above already
-            # has that orbit as (1; 1, 1, 0), and only when e_max >= 2.
-            if n == 2 or mu1 + (n - 1) * mu2 > m_max:
+            if mu1 + (n - 1) * mu2 > m_max:
                 continue
             cfg = MinusOneConfiguration(delta, mu0, mu1, mu2, n)
             # The member must be an actual curve.

@@ -55,6 +55,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.prime > MERSENNE_31:
             raise ValueError(
                 f"prime {self.prime} exceeds 2^31 - 1: int64 products of two "

@@ -144,6 +144,10 @@ def test_usage_error_exit_2(capsys):
         (["verify", "--d-max", "3", "--n-max", "3", "--m-max", "0"], "--m-max must be at least 1"),
         (["verify", "--d-max", "3", "--n-max", "3", "--workers", "0"], "--workers must be at least 1"),
         (["oracle", "100", "0", "60", "5"], "would be 855 x 5151"),
+        # with two points nothing is sampled, so only the config check sees the seed
+        (["oracle", "4", "0", "2", "2", "--seed", "-1"], "seed must be >= 0"),
+        (["oracle", "4", "0", "5", "2", "--seed", "-1"], "seed must be >= 0"),
+        (["verify", "--d-max", "2", "--n-max", "2", "--seed", "-1"], "seed must be >= 0"),
     ],
 )
 def test_invalid_value_exits_2(capsys, argv, message):

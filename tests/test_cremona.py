@@ -71,7 +71,7 @@ def test_transform_preserves_virtual_dim(s):
 @given(sequences)
 def test_transform_preserves_oracle_dim(s):
     t = quadratic_transform(s, 0, 1, 2)
-    if not (s.is_effective and t.is_effective):
+    if min(s.degree, t.degree, *s.mults, *t.mults) < 0:
         return
     before = measure_dim_mults(s.degree, list(s.mults))
     after = measure_dim_mults(t.degree, list(t.mults))

@@ -62,8 +62,11 @@ def test_class_check_raises_soundness_error(monkeypatch):
 
 
 def test_rejects_bad_m_max():
-    with pytest.raises(ValueError):
-        enumerate_qh_classes(0)
+    for enumerate_ in (enumerate_qh_classes, enumerate_configurations):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            enumerate_(0)
+        with pytest.raises(ValueError, match="e_max must be >= 0"):
+            enumerate_(3, e_max=-1)
 
 
 @given(st.integers(2, 40))
@@ -204,6 +207,34 @@ def test_members_meet_the_scan_bound():
     for delta in range(1, 40):
         for mu0, mu1, mu2, n in minus_one._minus_one_curves(delta):
             assert mu1 + (n - 1) * mu2 >= 2 * delta - 1, (delta, mu0, mu1, mu2, n)
+
+
+def _minus_one_curves_by_search(delta):
+    for mu0 in range(0, delta + 1):
+        for mu2 in range(1, delta + 1):
+            for mu1 in (mu2 - 1, mu2 + 1):
+                num = delta**2 - mu0**2 - 2 * mu1 * mu2
+                if mu1 < 0 or num % mu2**2:
+                    continue
+                n = num // mu2**2 + 2
+                if n < 2:
+                    continue
+                # self-intersection -1 ...
+                if delta**2 - mu0**2 - mu1**2 - (n - 1) * mu2**2 != -1:
+                    continue
+                # ... and genus zero.
+                if 3 * delta - mu0 - mu1 - (n - 1) * mu2 != 1:
+                    continue
+                yield mu0, mu1, mu2, n
+
+
+def test_minus_one_curves_match_search():
+    # the search also finds (1; 1, 0, 1) on n = 2 points, the two lines
+    # through p0, which the configurations hold as (1; 1, 1, 0)
+    assert (1, 0, 1, 2) in _minus_one_curves_by_search(1)
+    for delta in range(1, 151):
+        searched = [t for t in _minus_one_curves_by_search(delta) if t[3] >= 3]
+        assert list(minus_one._minus_one_curves(delta)) == searched, delta
 
 
 def test_two_lines_orbit_truncated_by_e_max():
