@@ -3,7 +3,8 @@
 Subcommands: dim, classify, enumerate, oracle, certify, verify, table.
 Exit codes: 0 success, 1 verification mismatch or an exhausted certifier
 budget, 2 usage error (including a ValueError from invalid input, such as a
-budget below 1).  Errors are reported as `qhplane: error: ...` on stderr.
+budget below 1 or more verify workers than CPUs).  Errors are reported as
+`qhplane: error: ...` on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -93,7 +95,9 @@ def cmd_classify(args) -> int:
     special, result = classifier.is_special(sys_)
     inv = invariants(sys_)
     decomp = result.certificate.get("decomposition")
-    if "decomposition" not in result.certificate and sys_.n > 0 and sys_.m > 0:
+    # Only proved answers lack the key, and a decomposition would force
+    # dim >= v(residual) > e: a non-special one has none to search for.
+    if special and "decomposition" not in result.certificate:
         found = minus_one.find_special_decomposition(sys_)
         decomp = found.to_dict() if found else None
     payload = {
@@ -201,6 +205,9 @@ def cmd_verify(args) -> int:
     ):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise ValueError(f"--workers must be at most the CPU count {cpus}, got {args.workers}")
     cells = [
         (d, m0, n, m)
         for d in range(0, args.d_max + 1)

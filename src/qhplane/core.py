@@ -73,9 +73,6 @@ class QuasiHomogeneousSystem:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.d, self.m0, self.n, self.m)
 
-    def canonical_key(self) -> tuple[int, int, int, int]:
-        return canonical_key(self.d, self.m0, self.n, self.m)
-
     def multiplicities(self) -> list[int]:
         """All multiplicities, distinguished point first."""
         return [self.m0] + [self.m] * self.n

@@ -11,8 +11,7 @@ workhorse base cases of the degeneration recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     DimensionResult,
@@ -24,78 +23,69 @@ from .core import (
 from .core import L as _L
 
 
-@dataclass(frozen=True)
-class MultiplicitySequence:
-    """(degree; multiplicities), index 0 distinguished.
-
-    Negative entries are allowed during class computations (the
-    transformation acts on the Picard lattice).
-    """
-
-    degree: int
-    mults: tuple[int, ...]
-
-    def dropped_zeros(self) -> "MultiplicitySequence":
-        return MultiplicitySequence(self.degree, tuple(m for m in self.mults if m != 0))
-
-    def __str__(self) -> str:
-        return f"({self.degree}; {', '.join(map(str, self.mults))})"
-
-
-def sequence_of(system: QuasiHomogeneousSystem) -> MultiplicitySequence:
-    return MultiplicitySequence(system.d, tuple(system.multiplicities()))
+def _state(d: int, mults: Sequence[int]) -> str:
+    """A state as a failure's trace entry names it: (d; m1, m2, ...)."""
+    return f"({d}; {', '.join(map(str, mults))})"
 
 
 def quadratic_transform(
-    s: MultiplicitySequence, i: int, j: int, k: int
-) -> MultiplicitySequence:
-    """Transform based at the points indexed i, j, k."""
+    d: int, mults: Sequence[int], i: int, j: int, k: int
+) -> tuple[int, tuple[int, ...]]:
+    """Transform of (d; mults) based at the points indexed i, j, k.
+
+    Negative entries are allowed (the transformation acts on the Picard
+    lattice); returns the new (degree, multiplicities)."""
     if len({i, j, k}) != 3:
         raise ValueError("base point indices must be distinct")
     for idx in (i, j, k):
-        if idx < 0 or idx >= len(s.mults):
+        if idx < 0 or idx >= len(mults):
             raise IndexError(f"index {idx} out of range")
-    d = s.degree
-    mi, mj, mk = s.mults[i], s.mults[j], s.mults[k]
-    mults = list(s.mults)
-    mults[i] = d - mj - mk
-    mults[j] = d - mi - mk
-    mults[k] = d - mi - mj
-    return MultiplicitySequence(degree=2 * d - mi - mj - mk, mults=tuple(mults))
+    mi, mj, mk = mults[i], mults[j], mults[k]
+    out = list(mults)
+    out[i] = d - mj - mk
+    out[j] = d - mi - mk
+    out[k] = d - mi - mj
+    return 2 * d - mi - mj - mk, tuple(out)
 
 
-def reduces_to_line(s: MultiplicitySequence) -> tuple[bool, list[dict]]:
-    """Greedy Cremona reduction towards the line through two points (1; 1, 1).
+def reduces_to_line(d: int, mults: Sequence[int]) -> tuple[bool, list[dict]]:
+    """Greedy Cremona reduction of (d; mults) towards the line through two
+    points (1; 1, 1).
 
-    Pivots on the three largest multiplicities, ties broken by index (a
-    reverse sort is stable).  Succeeds iff the reduction reaches (1; 1, 1)
-    through states with non-negative entries and strictly decreasing degree;
-    used as the numerical irreducibility criterion for (-1)-classes.  The
+    Pivots on the three largest multiplicities, ties broken by index.
+    Succeeds iff the reduction reaches (1; 1, 1) through states with
+    non-negative entries and strictly decreasing degree; used as the
+    numerical irreducibility criterion for (-1)-classes.  The
     input is checked once; a step changes only the degree and the pivots, so
     only those are checked after it.  A step's trace entry is its pivot into
     the state with zeros dropped, padded to three entries; a failure entry
     names its state.  Each pass returns or lowers the degree, which stays
-    positive, so the loop ends within s.degree passes.
+    positive, so the loop ends within d passes.
     """
     trace: list[dict] = []
-    cur = s.dropped_zeros()
-    if cur.degree < 1 or any(m < 0 for m in cur.mults):
-        trace.append({"state": str(cur), "fail": "negative entry"})
+    cur = tuple(filter(None, mults))
+    if d < 1 or any(m < 0 for m in cur):
+        trace.append({"state": _state(d, cur), "fail": "negative entry"})
         return False, trace
     while True:
-        if cur.degree == 1 and sorted(cur.mults) == [1, 1]:
+        if d == 1 and cur == (1, 1):
             return True, trace
-        padded = cur.mults + (0,) * (3 - len(cur.mults))
-        i, j, k = sorted(range(len(padded)), key=padded.__getitem__, reverse=True)[:3]
-        nxt = quadratic_transform(MultiplicitySequence(cur.degree, padded), i, j, k)
-        if nxt.degree >= cur.degree:
-            trace.append({"state": str(cur), "fail": "degree does not decrease"})
+        padded = cur + (0,) * (3 - len(cur))
+        # The indices of the three largest entries, a tie going to the
+        # lower index: a stable reverse sort of the indices by entry.
+        a, b, c = sorted(padded, reverse=True)[:3]
+        i = padded.index(a)
+        j = padded.index(b, i + 1) if b == a else padded.index(b)
+        k = padded.index(c, j + 1) if c == b else padded.index(c)
+        nd, nxt = quadratic_transform(d, padded, i, j, k)
+        if nd >= d:
+            trace.append({"state": _state(d, cur), "fail": "degree does not decrease"})
             return False, trace
         trace.append({"pivot": (i, j, k)})
-        if nxt.degree < 1 or min(nxt.mults[i], nxt.mults[j], nxt.mults[k]) < 0:
-            trace.append({"state": str(nxt), "fail": "negative entry"})
+        if nd < 1 or min(nxt[i], nxt[j], nxt[k]) < 0:
+            trace.append({"state": _state(nd, nxt), "fail": "negative entry"})
             return False, trace
-        cur = nxt.dropped_zeros()
+        d, cur = nd, tuple(filter(None, nxt))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .core import (
     virtual_dim,
 )
 from .core import L as _L
-from .cremona import MultiplicitySequence, reduces_to_line, sequence_of
+from .cremona import reduces_to_line
 
 DEFAULT_E_MAX = 50
 
@@ -95,10 +95,9 @@ class MinusOneConfiguration:
         n_mult = self.mu1 + (self.n - 1) * self.mu2
         return d * self.delta - m0 * self.mu0 - m * n_mult
 
-    def member_sequence(self) -> MultiplicitySequence:
-        return MultiplicitySequence(
-            self.delta, (self.mu0, self.mu1) + (self.mu2,) * (self.n - 1)
-        )
+    def member_sequence(self) -> tuple[int, tuple[int, ...]]:
+        """One member as (degree, multiplicities), p0 first."""
+        return self.delta, (self.mu0, self.mu1) + (self.mu2,) * (self.n - 1)
 
 
 def _is_minus_one_class(L: QuasiHomogeneousSystem) -> bool:
@@ -226,7 +225,7 @@ def enumerate_configurations(
                 continue
             cfg = MinusOneConfiguration(delta, mu0, mu1, mu2, n)
             # The member must be an actual curve.
-            if reduces_to_line(cfg.member_sequence())[0]:
+            if reduces_to_line(*cfg.member_sequence())[0]:
                 found.append(cfg)
     found.sort(key=lambda c: (c.total.m, c.total.d, c.total.m0, c.n))
     return tuple(found)
@@ -240,7 +239,7 @@ def is_irreducible_class(c: MinusOneClass) -> tuple[bool, dict]:
     the trace names an irreducible class met negatively, if one exists."""
     if not _is_minus_one_class(c.system):
         raise ValueError(f"{c.system} is not a (-1)-class")
-    ok, trace = reduces_to_line(sequence_of(c.system))
+    ok, trace = reduces_to_line(c.system.d, c.system.multiplicities())
     cert: dict = {"trace": trace}
     if not ok:
         blocker = _blocking_class(c.system)
@@ -255,7 +254,7 @@ def _blocking_class(L: QuasiHomogeneousSystem) -> Optional[dict]:
         if o.n != L.n or o.as_tuple() == L.as_tuple():
             continue
         pairing = intersect(L, o, L.n)
-        if pairing < 0 and reduces_to_line(sequence_of(o))[0]:
+        if pairing < 0 and reduces_to_line(o.d, o.multiplicities())[0]:
             residual = (L.d - o.d, L.m0 - o.m0, L.n, L.m - o.m)
             return {
                 "class": o.as_tuple(),
@@ -300,7 +299,7 @@ def _candidates_cached(n: int, m: int) -> tuple[MinusOneConfiguration, ...]:
     configs = enumerate_configurations(m_max=max(1, m), e_max=max(DEFAULT_E_MAX, n))
     on_n = [c for c in configs if c.n == n]
     singles = [
-        c for c in on_n if not c.compound and reduces_to_line(c.member_sequence())[0]
+        c for c in on_n if not c.compound and reduces_to_line(*c.member_sequence())[0]
     ]
     return tuple(singles + [c for c in on_n if c.compound])
 

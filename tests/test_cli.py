@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from qhplane import classifier, degeneration, minus_one
 from qhplane.cli import main
+from qhplane.core import L, Status
 
 
 def run(capsys, *argv):
@@ -65,6 +67,46 @@ def test_classify_searches_once(capsys, monkeypatch):
         "v": 125, "e": 125, "self_int": 225, "genus": 101,
         "status": "Conjectural", "decomposition": None,
     }
+
+
+def test_classify_skips_the_search_when_not_special(capsys, monkeypatch):
+    # a proved non-special system has no fixed-part decomposition, so classify
+    # answers L(1000,0,100000,3) without searching the (-1)-curve orbits
+    def search(L):
+        raise AssertionError(f"searched {L}")
+
+    monkeypatch.setattr(minus_one, "find_special_decomposition", search)
+    code, out = run(capsys, "classify", "1000", "0", "100000", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["special"] is False and payload["decomposition"] is None
+
+
+def test_classify_searches_a_special_base_case(capsys):
+    # the few-points certificate of L(4,0,2,3) carries no decomposition
+    assert classifier.dimension(L(4, 0, 2, 3)).certificate == {"base": "few-points"}
+    code, out = run(capsys, "classify", "4", "0", "2", "3")
+    assert code == 0
+    assert "SPECIAL" in out and "x L(1,0,2,1)" in out
+
+
+def test_proved_non_special_systems_have_no_decomposition():
+    # the cells classify no longer searches: a decomposition would force
+    # dim >= v(residual) > e, against the proof
+    cells = 0
+    for d in range(21):
+        for m0 in range(d + 2):
+            for n in range(1, 21):
+                for m in range(1, 8):
+                    system = L(d, m0, n, m)
+                    result = classifier.dimension(system)
+                    if (
+                        result.status is Status.NON_SPECIAL_PROVED
+                        and "decomposition" not in result.certificate
+                    ):
+                        cells += 1
+                        assert minus_one.find_special_decomposition(system) is None, system
+    assert cells == 27134
 
 
 def test_enumerate_csv(capsys):
@@ -225,6 +267,22 @@ def test_certify_through_a_cache_names_the_system_asked_for(capsys, tmp_path):
     for argv, out in fresh.items():
         assert out[0] == 0
         assert run(capsys, "certify", *argv, "--json", "--cache", cache) == out
+
+
+@pytest.mark.parametrize("cpus, workers, named", [(2, 3, "2"), (None, 2, "1")])
+def test_verify_refuses_more_workers_than_cpus(capsys, monkeypatch, cpus, workers, named):
+    def pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    argv = ["verify", "--d-max", "3", "--n-max", "3", "--workers", str(workers)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"qhplane: error: --workers must be at most the CPU count {named}, got {workers}\n"
+    )
 
 
 def test_verify_worker_pool_matches_serial(capsys):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from qhplane.core import L, expected_dim, virtual_dim
 from qhplane.cremona import (
-    MultiplicitySequence,
     dim_few_points,
     dim_large_m0,
     dim_m0_eq_d_minus_m,
@@ -12,41 +11,41 @@ from qhplane.cremona import (
     dim_m0_ge_d_minus_m,
     quadratic_transform,
     reduces_to_line,
-    sequence_of,
 )
 from qhplane.minus_one import enumerate_qh_classes
 from qhplane.oracle import measure_dim_mults
 
 
+def sequence_of(system):
+    return system.d, system.multiplicities()
+
+
 def test_transform_example():
-    s = sequence_of(L(12, 8, 9, 3))
-    t = quadratic_transform(s, 0, 1, 2)
-    assert t.degree == 2 * 12 - 8 - 3 - 3 == 10
-    assert t.mults == (6, 1, 1) + (3,) * 7
+    d, mults = quadratic_transform(*sequence_of(L(12, 8, 9, 3)), 0, 1, 2)
+    assert d == 2 * 12 - 8 - 3 - 3 == 10
+    assert mults == (6, 1, 1) + (3,) * 7
 
 
 def test_transform_pencil_family():
     e = 5
-    s = sequence_of(L(e, e - 1, 2 * e, 1))
-    t = quadratic_transform(s, 0, 1, 2).dropped_zeros()
-    assert (t.degree, t.mults) == (e - 1, (e - 2,) + (1,) * (2 * e - 2))
+    d, mults = quadratic_transform(*sequence_of(L(e, e - 1, 2 * e, 1)), 0, 1, 2)
+    assert (d, tuple(filter(None, mults))) == (e - 1, (e - 2,) + (1,) * (2 * e - 2))
 
 
 def test_transform_zero_sequence_fixed():
-    s = MultiplicitySequence(0, (0, 0, 0))
-    assert quadratic_transform(s, 0, 1, 2) == s
+    assert quadratic_transform(0, (0, 0, 0), 0, 1, 2) == (0, (0, 0, 0))
 
 
 def test_transform_rejects_repeated_indices():
-    s = MultiplicitySequence(3, (1, 1, 1))
     with pytest.raises(ValueError):
-        quadratic_transform(s, 0, 0, 1)
+        quadratic_transform(3, (1, 1, 1), 0, 0, 1)
     with pytest.raises(IndexError):
-        quadratic_transform(s, 0, 1, 5)
+        quadratic_transform(3, (1, 1, 1), 0, 1, 5)
+    with pytest.raises(IndexError):
+        quadratic_transform(3, (1, 1, 1), -1, 1, 2)
 
 
-sequences = st.builds(
-    MultiplicitySequence,
+sequences = st.tuples(
     st.integers(0, 12),
     st.lists(st.integers(0, 6), min_size=3, max_size=7).map(tuple),
 )
@@ -54,56 +53,53 @@ sequences = st.builds(
 
 @given(sequences)
 def test_transform_is_involution(s):
-    t = quadratic_transform(quadratic_transform(s, 0, 1, 2), 0, 1, 2)
-    assert (t.degree, t.mults) == (s.degree, s.mults)
+    once = quadratic_transform(*s, 0, 1, 2)
+    assert quadratic_transform(*once, 0, 1, 2) == s
 
 
 @given(sequences)
 def test_transform_preserves_virtual_dim(s):
-    def v(seq):
-        d = seq.degree
-        return d * (d + 3) // 2 - sum(m * (m + 1) // 2 for m in seq.mults)
+    def v(d, mults):
+        return d * (d + 3) // 2 - sum(m * (m + 1) // 2 for m in mults)
 
-    assert v(quadratic_transform(s, 0, 1, 2)) == v(s)
+    assert v(*quadratic_transform(*s, 0, 1, 2)) == v(*s)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sequences)
 def test_transform_preserves_oracle_dim(s):
-    t = quadratic_transform(s, 0, 1, 2)
-    if min(s.degree, t.degree, *s.mults, *t.mults) < 0:
+    (d, mults), (td, tmults) = s, quadratic_transform(*s, 0, 1, 2)
+    if min(d, td, *mults, *tmults) < 0:
         return
-    before = measure_dim_mults(s.degree, list(s.mults))
-    after = measure_dim_mults(t.degree, list(t.mults))
-    assert before == after
+    assert measure_dim_mults(d, list(mults)) == measure_dim_mults(td, list(tmults))
 
 
 def test_reduces_to_line():
-    ok, _ = reduces_to_line(sequence_of(L(1, 1, 1, 1)))
+    ok, _ = reduces_to_line(*sequence_of(L(1, 1, 1, 1)))
     assert ok
-    ok, _ = reduces_to_line(sequence_of(L(2, 0, 5, 1)))
+    ok, _ = reduces_to_line(*sequence_of(L(2, 0, 5, 1)))
     assert ok
-    ok, trace = reduces_to_line(sequence_of(L(27, 17, 9, 7)))
+    ok, trace = reduces_to_line(*sequence_of(L(27, 17, 9, 7)))
     assert not ok
     assert trace[-1]["fail"]
 
 
 def test_reduces_to_line_failure_exits():
     # a negative entry already in the initial state
-    assert reduces_to_line(MultiplicitySequence(3, (2, -1, 1))) == (
+    assert reduces_to_line(3, (2, -1, 1)) == (
         False, [{"state": "(3; 2, -1, 1)", "fail": "negative entry"}]
     )
     # the pivot (0, 1, 2) maps (3; 1, 1, 1) to a degree-3 state
-    assert reduces_to_line(MultiplicitySequence(3, (1, 1, 1))) == (
+    assert reduces_to_line(3, (1, 1, 1)) == (
         False, [{"state": "(3; 1, 1, 1)", "fail": "degree does not decrease"}]
     )
     # a step into a state with negative pivot entries
-    assert reduces_to_line(MultiplicitySequence(5, (3, 3, 3))) == (
+    assert reduces_to_line(5, (3, 3, 3)) == (
         False,
         [{"pivot": (0, 1, 2)}, {"state": "(1; -1, -1, -1)", "fail": "negative entry"}],
     )
     # a step into (1; 0, 0, 0), whose next pivot does not lower the degree
-    assert reduces_to_line(MultiplicitySequence(2, (1, 1, 1))) == (
+    assert reduces_to_line(2, (1, 1, 1)) == (
         False,
         [{"pivot": (0, 1, 2)}, {"state": "(1; )", "fail": "degree does not decrease"}],
     )
@@ -149,31 +145,29 @@ _tied_entries = st.lists(st.integers(-1, 12), min_size=1, max_size=3).flatmap(
 @settings(max_examples=500, deadline=None)
 @given(st.integers(-1, 25), _tied_entries | st.lists(st.integers(-1, 12), max_size=9))
 def test_reduces_to_line_matches_reference(degree, mults):
-    s = MultiplicitySequence(degree, tuple(mults))
-    assert reduces_to_line(s) == _reference_reduction(degree, mults)
+    assert reduces_to_line(degree, mults) == _reference_reduction(degree, mults)
 
 
 def test_reduces_to_line_matches_reference_on_classes():
     classes = enumerate_qh_classes(30)
     reached = 0
     for c in classes:
-        got = reduces_to_line(sequence_of(c.system))
+        got = reduces_to_line(*sequence_of(c.system))
         assert got == _reference_reduction(c.system.d, c.system.multiplicities())
         reached += got[0]
     assert 0 < reached < len(classes)
 
 
 def test_pivots_replay_the_reduction():
-    s = sequence_of(L(56, 48, 17, 7))
-    ok, trace = reduces_to_line(s)
+    d, mults = sequence_of(L(56, 48, 17, 7))
+    ok, trace = reduces_to_line(d, mults)
     assert ok and trace
-    cur = s.dropped_zeros()
+    mults = tuple(filter(None, mults))
     for step in trace:
-        padded = cur.mults + (0,) * max(0, 3 - len(cur.mults))
-        cur = quadratic_transform(
-            MultiplicitySequence(cur.degree, padded), *step["pivot"]
-        ).dropped_zeros()
-    assert cur.degree == 1 and sorted(cur.mults) == [1, 1]
+        padded = mults + (0,) * max(0, 3 - len(mults))
+        d, mults = quadratic_transform(d, padded, *step["pivot"])
+        mults = tuple(filter(None, mults))
+    assert d == 1 and sorted(mults) == [1, 1]
 
 
 # -- closed forms -----------------------------------------------------------
