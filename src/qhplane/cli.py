@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: dim, classify, enumerate, oracle, certify, verify, table.
-Exit codes: 0 success, 1 verification mismatch or an exhausted certifier
-budget, 2 usage error (including a ValueError from invalid input, such as a
-budget below 1 or more verify workers than CPUs).  Errors are reported as
+Exit codes: 0 success, 1 verification mismatch, an exhausted certifier
+budget or a certifier recursion deeper than Python's recursion limit, 2
+usage error (including a ValueError from invalid input, such as a budget
+below 1 or more verify workers than CPUs).  Errors are reported as
 `qhplane: error: ...` on stderr.
 """
 
@@ -172,6 +173,10 @@ def cmd_certify(args) -> int:
         cert = degeneration.certify(sys_, budget=args.budget, cache_path=args.cache)
     except degeneration.BudgetExceeded as exc:
         print(f"qhplane: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # each level of the recursion takes two frames
+        limit = sys.getrecursionlimit()
+        print(f"qhplane: error: recursion limit {limit} reached certifying {sys_}", file=sys.stderr)
         return 1
     except OSError as exc:  # only the cache file is read or written
         raise ValueError(f"{args.cache}: {exc.strerror or exc}") from None

@@ -19,11 +19,21 @@ ends because each step lowers (d, n) lexicographically: LP and hatLP have
 a lower d, LF and hatLF keep d with b < n points, and the fewer-points rule
 keeps d with nb < n points.
 
+For m = 2 and 3 the splits tried first have k = m (see _candidate_splits):
+their F-side subsystems are closed forms of the large-m0 theory, so the
+recursion goes on down the P side only.  The m = 2 boundary system
+L(d, 0, floor(d(d+3)/6), 2) takes 1,973 nodes at d = 300; the list tried
+after those splits takes about d^3 / 40 on its own (3,047 at d = 50, past
+the default budget from d = 170).  That list still follows in full at every
+node, so no system it proves can be lost.
+
 The recursion runs on plain (d, m0, n, m) tuples: each memo miss goes
 through `Certifier.certify` with its tuple, and below the top nothing builds
-a system object, a DimensionResult or a base-case certificate.  Its
-soundness checks (the split identities and semicontinuity) raise
-SoundnessError, so they also run under `python -O`.
+a system object, a DimensionResult or a base-case certificate.  Each level
+takes two Python frames, so a chain deeper than about half of Python's
+recursion limit raises RecursionError.  Its soundness checks (the split
+identities and semicontinuity) raise SoundnessError, so they also run under
+`python -O`.
 """
 
 from __future__ import annotations
@@ -258,19 +268,18 @@ class Certifier:
         self.memo[key] = cert.dim
         return cert
 
-    def _dim(self, t: tuple) -> Optional[int]:
-        """The proved dim of L(*t), or None when unknown.  A miss certifies
-        the tuple through certify, which counts the node, with no tree: only
-        the dim is used."""
-        dim = self.memo.get(_KEY % canonical_key(*t), _MISS)
-        return self.certify(t, tree=False).dim if dim is _MISS else dim
-
     def _build(self, system: tuple, tree: bool) -> Certificate:
         """The certificate of L(*system) from a base case, an empty boundary
         system, or the first split whose limit dim is e, certifying the
         subsystems the memo lacks.  Only with tree set does it build the
         tree: the base case's certificate, the boundary's summary, the
-        proving split with its subsystem summaries, or the splits tried."""
+        proving split with its subsystem summaries, or the splits tried.
+
+        A subsystem's dim is read from the memo; a miss is certified through
+        certify, which counts the node, with no tree.  That lookup is written
+        out at both places rather than in a helper, so each level of the
+        recursion costs two Python frames: certify and _build."""
+        memo = self.memo
         d, m0, n, m = system
         v = lattice_virtual_dim(d, m0, n, m)
         e = max(-1, v)
@@ -283,7 +292,10 @@ class Certifier:
             # empty boundary system (the fewest points with v <= -1) empties L.
             nb = n - (-1 - v) // (m * (m + 1) // 2)
             bound = (d, m0, nb, m)
-            if nb < n and self._dim(bound) == -1:
+            dim = memo.get(_KEY % canonical_key(*bound), _MISS) if nb < n else None
+            if dim is _MISS:
+                dim = self.certify(bound, tree=False).dim
+            if dim == -1:
                 via = {}
                 if tree:
                     summary = _summary(bound, -1, lattice_virtual_dim(*bound))
@@ -294,7 +306,9 @@ class Certifier:
             subs, vs = _split_tuples(d, m0, n, m, k, b, v)
             dims = []
             for sub in subs:
-                dim = self._dim(sub)
+                dim = memo.get(_KEY % canonical_key(*sub), _MISS)
+                if dim is _MISS:
+                    dim = self.certify(sub, tree=False).dim
                 if dim is None:
                     break
                 dims.append(dim)
@@ -324,20 +338,31 @@ class Certifier:
 def _candidate_splits(d: int, m0: int, n: int, m: int, v: int) -> Iterator[tuple[int, int]]:
     """Paper-guided (k, b) choices first, then the first MAX_SPLITS_PER_NODE
     pairs of the balanced exhaustive ranking, each pair once; v is the
-    virtual dimension of L(d, m0, n, m)."""
+    virtual dimension of L(d, m0, n, m).
+
+    For m = 2 and 3 the first choices have k = m.  Their F-side subsystems
+    L(d, d-k, b, m) and L(d, d-k+1, b, m) have m0 >= d - m - 1, so they are
+    closed-form base cases, and the recursion goes on only down the P side
+    L(d-k, m0, n-b, m), with v(LP) = v - k(2d-k+3)/2 + b*m(m+1)/2.  For
+    m = 2 the b are t = floor((2d+1)/3) and t + 1, so the P side keeps L's v
+    to within 3 and a homogeneous chain has about 2d/3 levels.  For m = 3
+    they are ceil(d/2) - 1, floor(d/2) - 1 and ceil(d/2).  These pairs only
+    go ahead of the list tried before them, which follows in full: every
+    node's candidates contain that list, so by induction on (d, n) a system
+    that list proves is still proved with the same dim, and one it left
+    unknown can only become proved (given enough budget and Python stack)."""
     prescriptions: list[tuple[int, int]] = []
+    h = (d + 1) // 2
     if m == 2:
-        if v <= -1:
-            prescriptions.append((1, d // 2 + 1))
-        else:
-            prescriptions.append((1, (d + 1) // 2))
+        t = (2 * d + 1) // 3
+        prescriptions += [(2, t), (2, t + 1), (1, d // 2 + 1) if v <= -1 else (1, h)]
     elif m == 3:
+        prescriptions += [(3, h - 1), (3, d // 2 - 1), (3, h)]
         if v <= -1:
             for b in range(d // 2, 2 * d // 5, -1):
                 if d % 4 == 0 and 2 * b == d:
                     continue
                 prescriptions.append((2, b))
-        h = (d + 1) // 2
         prescriptions += [(3, h), (3, h + 1)]
     seen = set()
     for k, b in chain(prescriptions, islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE)):

@@ -316,4 +316,16 @@ def test_certify_budget_exhausted_exits_1_without_traceback():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == "qhplane: error: node budget 3 exhausted at L(9,6,5,3)\n"
+    assert proc.stderr == "qhplane: error: node budget 3 exhausted at L(3,0,2,3)\n"
+
+
+def test_certify_too_deep_exits_1_without_traceback():
+    # the m = 2 chain of L(750,0,94125,2) has about 2d/3 = 500 levels of two
+    # frames each, past CPython's default recursion limit of 1000
+    proc = _run_module("certify", "750", "0", "94125", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "qhplane: error: recursion limit 1000 reached certifying L(750,0,94125,2)\n"
+    )

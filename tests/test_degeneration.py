@@ -328,13 +328,14 @@ def test_bulk_check_on_single_entries():
     ],
 )
 def test_tampered_entry_after_the_full_ladder_is_named(tmp_path, key, dim):
-    # perfbench's 62-call ladder leaves 2,212 entries; one bad entry after
-    # all of them is still found and named
+    # perfbench's 62-call ladder leaves 1,448 entries (2,212 before the
+    # k = m splits went first); one bad entry after all of them is still
+    # found and named
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 2212 and key not in data["entries"]
+    assert len(data["entries"]) == 1448 and key not in data["entries"]
     data["entries"][key] = dim
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -387,7 +388,10 @@ def test_cache_hit_rederives_its_dim(tmp_path):
 
 def test_budget_exceeded():
     cf = Certifier(budget=3)
-    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(9,6,5,3\)$"):
+    # the fourth system examined: L(12,0,13,3) first splits (3, 5), whose LP
+    # L(9,0,8,3) splits (3, 4), whose LP L(6,0,4,3) splits (3, 2), whose LP
+    # is L(3,0,2,3)
+    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(3,0,2,3\)$"):
         cf.certify(L(12, 0, 13, 3))
 
 
@@ -430,11 +434,11 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
 @pytest.mark.parametrize(
     "system, nodes",
     [
-        ((30, 0, 83, 3), 173),
-        ((30, 0, 84, 3), 174),
-        ((30, 0, 150, 2), 755),
-        ((50, 0, 309, 3), 471),
-        ((120, 0, 1600, 3), 2382),
+        ((30, 0, 83, 3), 246),
+        ((30, 0, 84, 3), 247),
+        ((30, 0, 150, 2), 272),
+        ((50, 0, 309, 3), 506),
+        ((120, 0, 1600, 3), 1837),
     ],
 )
 def test_node_counts_are_pinned(system, nodes):
@@ -509,6 +513,57 @@ def test_lazy_split_ranking_matches_sorted_list():
     for d, n in [*cases, (120, 1600), (800, 2), (804, 2), (1000, 600), (2001, 1200)]:
         got = list(islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE))
         assert got == _ranked_reference(d, n), (d, n)
+
+
+def _prescriptions_before_k_m_splits(d, n, m, v):
+    # the paper-guided head of _candidate_splits as it was before the k = m
+    # splits went first, kept within range; the ranked tail followed it
+    prescriptions = []
+    if m == 2:
+        prescriptions.append((1, d // 2 + 1) if v <= -1 else (1, (d + 1) // 2))
+    elif m == 3:
+        if v <= -1:
+            for b in range(d // 2, 2 * d // 5, -1):
+                if d % 4 == 0 and 2 * b == d:
+                    continue
+                prescriptions.append((2, b))
+        h = (d + 1) // 2
+        prescriptions += [(3, h), (3, h + 1)]
+    return [(k, b) for k, b in prescriptions if 0 < k < d and 0 < b < n]
+
+
+def test_candidates_contain_the_list_before_the_k_m_splits(monkeypatch):
+    # Every node still tries every pair it tried before, so by induction on
+    # (d, n) no proof is lost: a proved dim stays proved, an unknown one can
+    # only become proved.  The ranked tail is the reference list, which
+    # _ranked_splits matches on this box (test_lazy_split_ranking_matches_sorted_list).
+    ranked = {(d, n): _ranked_reference(d, n) for d in range(41) for n in range(41)}
+    monkeypatch.setattr(degeneration, "_ranked_splits", lambda d, n: iter(ranked[d, n]))
+    for m in (2, 3):
+        for d in range(41):
+            for m0 in range(d + 2):
+                for n in range(41):
+                    v = lattice_virtual_dim(d, m0, n, m)
+                    got = list(degeneration._candidate_splits(d, m0, n, m, v))
+                    pairs = set(got)
+                    assert len(pairs) == len(got)
+                    assert pairs.issuperset(ranked[d, n]), (d, m0, n, m)
+                    assert pairs.issuperset(_prescriptions_before_k_m_splits(d, n, m, v)), (
+                        d, m0, n, m,
+                    )
+
+
+@pytest.mark.parametrize("d, nodes", [(50, 305), (100, 633), (200, 1305), (300, 1973)])
+def test_m2_boundary_nodes_are_pinned(d, nodes):
+    # L(d, 0, floor(d(d+3)/6), 2), the last homogeneous m = 2 system with
+    # v >= 0: its chain of k = 2 splits grows linearly in d (3,047 nodes at
+    # d = 50 and 23,375 at d = 100 before those splits went first; d = 200
+    # and 300 exhausted the default budget)
+    n = d * (d + 3) // 6
+    cf = Certifier()
+    cert = cf.certify(L(d, 0, n, 2), tree=False)
+    assert (cert.outcome, cert.dim) == (Status.NON_SPECIAL_PROVED, lattice_virtual_dim(d, 0, n, 2))
+    assert cf.nodes == nodes < degeneration.DEFAULT_BUDGET
 
 
 # The four subsystems of the (2,3)-split of L(6,0,5,3).
@@ -592,15 +647,17 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     # "d,m,0,0" (the version-2 file hashed to eba98855...).  Re-recorded when
     # deep-empty systems began to be proved by fewer points: 1180 entries
     # (sha256 0d1dcca9...) became 763, and each of the 761 keys in both
-    # files has the same dim in both.
+    # files has the same dim in both.  Re-recorded when the k = m splits
+    # began to go first: 763 entries (sha256 fa2cb388...) became 615, and
+    # each of the 350 keys in both files has the same dim in both.
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 763
+    assert len(data["entries"]) == 615
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "fa2cb38824e58dd88de350de4d35aea54211e3681b4542f7100e8ce46be93057"
+        "21adc0984af4969092bb44a27e413efdc5da644e16bcdaf8c4f6f46b851633b5"
     )
 
 

@@ -14,6 +14,11 @@ deeply empty system began to be proved empty from its boundary system (the
 fewest points with v <= -1): the 587 rows that changed are EmptyProved
 with dim -1 before and after and now carry the fewer-points certificate,
 and the other 15,289 rows are byte-identical (f71d6a1e... before).
+It was re-recorded once more when the k = m splits began to go first for
+m = 2 and 3 (58da8cf0... before): the 2,758 rows that changed keep their
+system, outcome and dim and differ only in the split that proves them (or,
+for one Inconclusive row, in the splits its attempts list), and the
+"certifier d<=20 m<=3" digest of outcomes and dims did not move.
 The decomposition digest was
 recorded before the (-1)-curve candidates became configurations: it pins
 every fixed part's label, total, multiplicity and curve count, in order,
@@ -153,7 +158,7 @@ GOLDEN = [
     (
         "certifier trees d<=20 m<=3",
         certifier_tree_rows,
-        "58da8cf0c88b27e6c66f8a348ba75e1c29182d076bc8a7d82e3b840df0235312",
+        "f3add767d05bacb6dd46805cbcf09b407b84f1c92967ddd551c3b79880cf7df5",
         _histogram_of("outcome"),
     ),
     (
