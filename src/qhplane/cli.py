@@ -2,10 +2,11 @@
 
 Subcommands: dim, classify, enumerate, oracle, certify, verify, table.
 Exit codes: 0 success, 1 verification mismatch, an exhausted certifier
-budget or a certifier recursion deeper than Python's recursion limit, 2
-usage error (including a ValueError from invalid input, such as a budget
-below 1 or more verify workers than CPUs).  Errors are reported as
-`qhplane: error: ...` on stderr.
+budget, a certifier recursion deeper than Python's recursion limit or a
+reader that closed standard output early, 2 usage error (including a
+ValueError from invalid input, such as a budget below 1, more verify
+workers than CPUs, or an enumerate bound whose classes exceed the input
+cap).  Errors are reported as `qhplane: error: ...` on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import classifier, degeneration, minus_one, oracle, tables
-from .core import L, invariants
+from .core import MAX_INPUT, L, invariants
 
 JSON_SCHEMA_VERSION = 1
 
@@ -127,6 +128,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    m, e = args.m_max, args.e_max
+    if m * (m + 1) > MAX_INPUT:
+        raise ValueError(
+            f"--m-max {m} would list the class L({m * (m + 1)},{m * m - 1},{2 * m + 3},{m}),"
+            f" whose degree m(m+1) exceeds the supported cap {MAX_INPUT}"
+        )
+    if 2 * e > MAX_INPUT:
+        raise ValueError(
+            f"--e-max {e} would list the pencil member L({e},{e - 1},{2 * e},1),"
+            f" whose n = 2e exceeds the supported cap {MAX_INPUT}"
+        )
     if args.configurations:
         rows = [
             (
@@ -307,10 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"qhplane: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away: send the rest of the output to devnull, so
+        # that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
 """Quasi-homogeneous (-1)-classes, (-1)-configurations, and the fixed-part
 decompositions that force speciality.
 
-A quasi-homogeneous (-1)-class is a system with self-intersection -1 and
-arithmetic genus 0; the two conditions reduce, after two changes of
-variables, to factorizations x*y = (m-1)(2m+1), so the classes can be
-enumerated exactly.  Orbits of non-quasi-homogeneous (-1)-curves under
-permutation of the n points give the compound configurations; genus zero
-and disjointness of the members solve for the member's last multiplicity
-and n, so one loop over (delta, mu0) (`_minus_one_curves`) finds their
-members.  A system meeting such a curve to order -N <= -2 contains it N
-times in its base locus and is therefore special;
-`find_special_decomposition` searches for that situation, with the
-configurations on the system's n points as the candidate fixed parts.
+A quasi-homogeneous (-1)-class (d; m0, m^n) has self-intersection -1 and
+arithmetic genus 0.  Listed by m, the two conditions reduce, after two
+changes of variables, to factorizations x*y = (m-1)(2m+1)
+(`hyperbola_solutions`); on a fixed n they are one quadratic in d for each
+m (`_classes_on`).  Orbits of non-quasi-homogeneous (-1)-curves under
+permutation of the n points give the compound configurations; on a fixed n,
+genus zero and disjointness of the members are one quadratic in mu0 for
+each delta (`_minus_one_curves`).  A system meeting such a curve to order
+-N <= -2 contains it N times in its base locus and is therefore special;
+`find_special_decomposition` searches for that situation, with the curves
+on the system's own n points (`candidates_for`) as the candidate fixed
+parts.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import Optional
 
 from .core import (
     QuasiHomogeneousSystem,
     SoundnessError,
-    intersect,
     invariants,
     lattice_virtual_dim,
     virtual_dim,
@@ -90,15 +91,6 @@ class MinusOneConfiguration:
             return str(self.total)
         return f"orbit({self.delta};{self.mu0},{self.mu1},{self.mu2}^{self.n - 1})"
 
-    def member_intersection(self, d: int, m0: int, m: int) -> int:
-        """Intersection of one member with the class (d; m0, m^n)."""
-        n_mult = self.mu1 + (self.n - 1) * self.mu2
-        return d * self.delta - m0 * self.mu0 - m * n_mult
-
-    def member_sequence(self) -> tuple[int, tuple[int, ...]]:
-        """One member as (degree, multiplicities), p0 first."""
-        return self.delta, (self.mu0, self.mu1) + (self.mu2,) * (self.n - 1)
-
 
 def _is_minus_one_class(L: QuasiHomogeneousSystem) -> bool:
     inv = invariants(L)
@@ -160,6 +152,40 @@ def enumerate_qh_classes(
     return tuple(classes)
 
 
+def _classes_on(n: int, m_max: int) -> list[tuple[int, int, int]]:
+    """The (-1)-classes (d; m0, m^n) on exactly n points with m <= m_max, as
+    (d, m0, m) ascending in (m, d): the classes of `enumerate_qh_classes`
+    with this n, whatever their degree.
+
+    At m = 1 they are built directly: the line (1; 1, 1) on n = 1, the conic
+    (2; 0, 1^5) on n = 5 and the pencil member (e; e-1, 1^2e) on n = 2e.
+    For m >= 2, genus zero gives m0 = 3d - c with c = 1 + nm, and then
+    self-intersection -1 reads 8d^2 - 6cd + c^2 + nm^2 - 1 = 0, so
+    d = (3c ± r) / 8 with r^2 = c^2 - 8(nm^2 - 1).  A root is the class of
+    the factorization x*y = (m-1)(2m+1) with x = d + m0 - 2m and
+    y = d - m0 - m; `hyperbola_solutions` asks x + m >= y, which is m0 >= 0,
+    and a positive y, which makes x positive too."""
+    classes = []
+    if n == 1:
+        classes.append((1, 1, 1))
+    if n == 5:
+        classes.append((2, 0, 1))
+    if n >= 2 and n % 2 == 0:
+        classes.append((n // 2, n // 2 - 1, 1))
+    for m in range(2, m_max + 1):
+        c = 1 + n * m
+        disc = c * c - 8 * (n * m * m - 1)
+        r = isqrt(max(disc, 0))
+        if r * r != disc:
+            continue
+        for num in sorted({3 * c - r, 3 * c + r}):
+            d, rem = divmod(num, 8)
+            m0 = 3 * d - c
+            if rem == 0 and m0 >= 0 and d - m0 - m >= 1:
+                classes.append((d, m0, m))
+    return classes
+
+
 def homogeneous_form(L: QuasiHomogeneousSystem) -> Optional[QuasiHomogeneousSystem]:
     """m0 = 0 normal form of L if it is homogeneous (m0 = 0 or m0 = m)."""
     if L.m0 == 0:
@@ -169,29 +195,51 @@ def homogeneous_form(L: QuasiHomogeneousSystem) -> Optional[QuasiHomogeneousSyst
     return None
 
 
-def _minus_one_curves(delta: int):
-    """The (mu0, mu1, mu2, n) with mu2 >= 1, |mu1 - mu2| = 1 and n >= 3 for
-    which (delta; mu0, mu1, mu2^(n-1)) is a (-1)-class of genus zero whose
-    n orbit members are pairwise disjoint, ascending in mu0.
+def _minus_one_curves(n: int, m_max: int):
+    """The (delta, mu0, mu1, mu2) with mu0 < delta, mu2 >= 1 and
+    |mu1 - mu2| = 1 for which the n members of the orbit of
+    (delta; mu0, mu1, mu2^(n-1)) are pairwise disjoint classes of genus zero
+    with total multiplicity mu1 + (n - 1) mu2 <= m_max, ascending in
+    (delta, mu0).
 
-    With s = mu1 - mu2 and a = 3 delta - 1 - mu0, genus zero gives
-    (n - 1) mu2 = a - mu1, so n mu2 = a - s, and disjointness gives
-    delta^2 - mu0^2 - 2 mu1 mu2 = (n - 2) mu2^2; together they pin
-    mu2 = (delta^2 - mu0^2) / (a + s).  They imply self-intersection -1:
-    L^2 minus the disjointness form is -(mu1 - mu2)^2.  For mu0 < delta,
-    a + s >= 2 delta - 1 >= 1, and mu2 <= delta and n >= 3 follow.
-    mu0 = delta gives mu2 = 0, except for the 0 / 0 of (1; 1, 0, 1) on
-    n = 2 points: the two lines through p0, an orbit of the mu2 = 0 family.
-    Both signs at one mu0 would need mu2 | a - 1 with (a + 1) mu2 =
-    delta^2 - mu0^2, and the same with the signs swapped, which forces
-    delta^2 - mu0^2 >= (a^2 - 1) / 2 > delta^2, as a >= 2 delta: at most one
-    sign solves."""
-    for mu0 in range(delta):
-        a = 3 * delta - 1 - mu0
-        for s in (1, -1):
-            mu2, r = divmod(delta**2 - mu0**2, a + s)
-            if r == 0 and (a - s) % mu2 == 0:
-                yield mu0, mu2 + s, mu2, (a - s) // mu2
+    With s = mu1 - mu2 and a = 3 delta - 1 - mu0, the total multiplicity,
+    genus zero gives n mu2 = a - s, and disjointness gives
+    delta^2 - mu0^2 = n mu2^2 + 2 s mu2 = (a^2 - 1) / n, that is
+    (n + 1) mu0^2 - 2 (3 delta - 1) mu0 + (3 delta - 1)^2 - 1 - n delta^2 = 0.
+    So mu0 = (3 delta - 1 ± r) / (n + 1) with
+    r^2 = (n + 1)(n delta^2 + 1) - n (3 delta - 1)^2, and then s is the sign
+    with a = s (mod n), one at most for n >= 3.  They imply
+    self-intersection -1: L^2 minus the disjointness form is
+    -(mu1 - mu2)^2.  For mu0 < delta, a + s >= 2 delta - 1 >= 1, and
+    mu2 <= delta and n >= 3 follow, so n = 1, 2 give nothing; a >= 2 delta - 1
+    bounds delta by (m_max + 1) / 2.
+    mu0 = delta gives mu2 = 0: the lines through p0, which
+    `candidates_for` and `enumerate_configurations` build as (1; 1, 1, 0)."""
+    for delta in range(1, (m_max + 1) // 2 + 1):
+        b = 3 * delta - 1
+        disc = (n + 1) * (n * delta * delta + 1) - n * b * b
+        r = isqrt(max(disc, 0))
+        if r * r != disc:
+            continue
+        for num in sorted({b - r, b + r}):
+            mu0, rem = divmod(num, n + 1)
+            a = b - mu0
+            if rem or not 0 <= mu0 < delta or a > m_max:
+                continue
+            s = 1 if a % n == 1 else -1
+            mu2, rem = divmod(a - s, n)
+            if rem == 0:
+                yield delta, mu0, mu2 + s, mu2
+
+
+def _orbits_on(n: int, m_max: int) -> list[tuple[int, int, int, int]]:
+    """The orbits of `_minus_one_curves(n, m_max)` whose member is a curve:
+    it reduces to a line by Cremona transformations."""
+    return [
+        curve
+        for curve in _minus_one_curves(n, m_max)
+        if reduces_to_line(curve[0], curve[1:3] + (curve[3],) * (n - 1))[0]
+    ]
 
 
 @lru_cache(maxsize=256)
@@ -201,10 +249,8 @@ def enumerate_configurations(
     """Quasi-homogeneous (-1)-configurations with total multiplicity
     m = mu1 + (n-1) mu2 <= m_max.
 
-    Compound case: for mu2 >= 1, genus zero and disjointness solve for mu2
-    and n given delta, mu0 and the sign of mu1 - mu2 (`_minus_one_curves`,
-    one candidate per sign), and the member must be a genuine (-1)-curve,
-    reducing to a line by Cremona transformations; mu2 = 0 forces
+    Compound case: for mu2 >= 1 the orbits of `_orbits_on(n, m_max)` over
+    n = 3..m_max + 1 (a member has m = n mu2 ± 1 >= n - 1); mu2 = 0 forces
     (delta, mu0, mu1) = (1, 1, 1), the family of the e lines through p0,
     truncated at e_max.  Non-compound case: every quasi-homogeneous
     (-1)-class counts as a single-curve configuration.
@@ -218,15 +264,11 @@ def enumerate_configurations(
         )
     # The lines-through-p0 family (delta, mu0, mu1, mu2) = (1, 1, 1, 0).
     found += [MinusOneConfiguration(1, 1, 1, 0, n=e) for e in range(2, e_max + 1)]
-    # Genus 0 gives 3 delta - mu0 - m = 1 and mu0 <= delta, so m >= 2 delta - 1.
-    for delta in range(1, (m_max + 1) // 2 + 1):
-        for mu0, mu1, mu2, n in _minus_one_curves(delta):
-            if mu1 + (n - 1) * mu2 > m_max:
-                continue
-            cfg = MinusOneConfiguration(delta, mu0, mu1, mu2, n)
-            # The member must be an actual curve.
-            if reduces_to_line(*cfg.member_sequence())[0]:
-                found.append(cfg)
+    found += [
+        MinusOneConfiguration(*curve, n)
+        for n in range(3, m_max + 2)
+        for curve in _orbits_on(n, m_max)
+    ]
     found.sort(key=lambda c: (c.total.m, c.total.d, c.total.m0, c.n))
     return tuple(found)
 
@@ -249,15 +291,17 @@ def is_irreducible_class(c: MinusOneClass) -> tuple[bool, dict]:
 
 
 def _blocking_class(L: QuasiHomogeneousSystem) -> Optional[dict]:
-    for other in enumerate_qh_classes(m_max=max(1, L.m), e_max=max(L.n, 1)):
-        o = other.system
-        if o.n != L.n or o.as_tuple() == L.as_tuple():
-            continue
-        pairing = intersect(L, o, L.n)
-        if pairing < 0 and reduces_to_line(o.d, o.multiplicities())[0]:
-            residual = (L.d - o.d, L.m0 - o.m0, L.n, L.m - o.m)
+    d, m0, n, m = L.as_tuple()
+    for od, om0, om in _classes_on(n, m):
+        pairing = d * od - m0 * om0 - n * m * om
+        if (
+            pairing < 0
+            and (od, om0, om) != (d, m0, m)
+            and reduces_to_line(od, (om0,) + (om,) * n)[0]
+        ):
+            residual = (d - od, m0 - om0, n, m - om)
             return {
-                "class": o.as_tuple(),
+                "class": (od, om0, n, om),
                 "intersection": pairing,
                 "residual": residual,
                 "residual_v": lattice_virtual_dim(*residual),
@@ -288,49 +332,69 @@ class SpecialDecomposition:
         }
 
 
-def candidates_for(L: QuasiHomogeneousSystem) -> tuple[MinusOneConfiguration, ...]:
-    """The (-1)-curve orbits on exactly the n points of L: the irreducible
-    single curves first, then the compound orbits."""
-    return _candidates_cached(L.n, L.m)
+def candidates_for(L: QuasiHomogeneousSystem) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The (-1)-curves and curve orbits on exactly the n points of L, as
+    (delta, mu0, mu1, mu2, count): a member is (delta; mu0, mu1, mu2^(n-1))
+    and count is 1 for a single curve (mu1 = mu2) or n for an orbit.  The
+    single curves come first, ascending in (mu1, delta), then the orbits,
+    ascending in (total multiplicity, delta).
+
+    A class with mu1 = 1 is a curve by its family: the line, the conic
+    through five points, or the pencil member (e; e-1, 1^2e).  One quadratic
+    transformation at p0 and two simple points maps that member to
+    (e-1; e-2, 1^(2e-2)), so by induction it reaches the line through two
+    points in e - 1 steps.  Every other class, and the member of every
+    orbit with mu2 >= 1, must reduce to a line; the n lines through p0 are
+    the orbit of a line."""
+    return _candidates(L.n, L.m)
 
 
 @lru_cache(maxsize=4096)
-def _candidates_cached(n: int, m: int) -> tuple[MinusOneConfiguration, ...]:
-    configs = enumerate_configurations(m_max=max(1, m), e_max=max(DEFAULT_E_MAX, n))
-    on_n = [c for c in configs if c.n == n]
+def _candidates(n: int, m: int) -> tuple[tuple[int, int, int, int, int], ...]:
     singles = [
-        c for c in on_n if not c.compound and reduces_to_line(*c.member_sequence())[0]
+        (d, m0, k, k, 1)
+        for d, m0, k in _classes_on(n, m)
+        if k == 1 or reduces_to_line(d, (m0,) + (k,) * n)[0]
     ]
-    return tuple(singles + [c for c in on_n if c.compound])
+    # The n lines through p0, then the orbits with mu2 >= 1.
+    orbits = [(1, 1, 1, 0, n)] if n >= 2 else []
+    orbits += [
+        curve + (n,)
+        for curve in sorted(_orbits_on(n, m), key=lambda c: (c[2] + (n - 1) * c[3], c[0]))
+    ]
+    return tuple(singles + orbits)
 
 
-def _pairwise_disjoint(fixed: list[tuple[MinusOneConfiguration, int]], n: int) -> bool:
+def _pairwise_disjoint(curves: list[tuple[int, ...]], n: int) -> bool:
     # members placed with their mu1-points at distinct base points
     return all(
         di * dj - a0 * b0 - a1 * b2 - a2 * b1 - (n - 2) * a2 * b2 == 0
-        for (di, a0, a1, a2), (dj, b0, b1, b2) in combinations(
-            [c.curve for c, _ in fixed], 2
-        )
+        for (di, a0, a1, a2, _), (dj, b0, b1, b2, _) in combinations(curves, 2)
     )
 
 
 def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDecomposition]:
     """Fixed-part decomposition L = sum N_j A_j + M with some N_j >= 2,
-    v(M) >= 0, and M meeting the enumerated curves non-negatively; None if
-    no enumerated curve orbit meets L to order <= -2."""
+    v(M) >= 0, and M meeting the candidate curves non-negatively; None if
+    no candidate curve orbit meets L to order <= -2.  The search runs on the
+    candidates' int tuples; only the fixed parts it returns become
+    `MinusOneConfiguration`s, each at most L, as the search stops once the
+    fixed part exceeds the system."""
     candidates = candidates_for(L)
     d, m0, n, m = L.as_tuple()
     fixed: dict[int, int] = {}
     changed = True
     while changed:
         changed = False
-        for idx, cand in enumerate(candidates):
-            t = cand.member_intersection(d, m0, m)
+        for idx, (delta, mu0, mu1, mu2, count) in enumerate(candidates):
+            t = d * delta - m0 * mu0 - m * (mu1 + (n - 1) * mu2)
             if t <= -2:
                 N = -t
                 fixed[idx] = fixed.get(idx, 0) + N
-                td, tm0, tm = cand.total.d, cand.total.m0, cand.total.m
-                d, m0, m = d - N * td, m0 - N * tm0, m - N * tm
+                # the count members together pass mu1 + (count - 1) mu2
+                # times through each of the n points
+                d, m0 = d - N * count * delta, m0 - N * count * mu0
+                m -= N * (mu1 + (count - 1) * mu2)
                 if d < 0 or m0 < 0 or m < 0:
                     # the forced fixed part exceeds the system: no effective
                     # residual exists (the system is empty, not special)
@@ -339,12 +403,15 @@ def find_special_decomposition(L: QuasiHomogeneousSystem) -> Optional[SpecialDec
     # A pass that changed nothing ended the loop: no candidate meets M at <= -2.
     if not fixed:
         return None
-    parts = [(candidates[i], N) for i, N in fixed.items()]
-    if not _pairwise_disjoint(parts, n):
+    if not _pairwise_disjoint([candidates[i] for i in fixed], n):
         return None
     res_v = lattice_virtual_dim(d, m0, n, m)
     if res_v < 0:
         return None
+    parts = [
+        (MinusOneConfiguration(*candidates[i][:4], n, count=candidates[i][4]), N)
+        for i, N in fixed.items()
+    ]
     # Fixed-part accounting (residual v minus system v) is exact; the sum
     # runs over individual curves, so an orbit contributes once per member.
     if res_v - virtual_dim(L) != sum(c.count * N * (N - 1) // 2 for c, N in parts):

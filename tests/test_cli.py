@@ -33,6 +33,15 @@ def test_dim_plain(capsys):
     assert "dim=2" in out and "NonSpecialProved" in out
 
 
+@pytest.mark.parametrize("n", ["10", "2003"])
+def test_dim_at_m_1000_answers(capsys, n):
+    # the search meets (-1)-classes of degree above the input cap, such as
+    # L(1001000,999999,2003,1000); the user typed none of them
+    code, out = run(capsys, "dim", "2000", "0", n, "1000", "--json")
+    assert code == 0
+    assert json.loads(out)["dim"] == -1
+
+
 def test_classify_reports_decomposition(capsys):
     code, out = run(capsys, "classify", "4", "0", "5", "2")
     assert code == 0
@@ -190,6 +199,9 @@ def test_usage_error_exit_2(capsys):
         (["oracle", "4", "0", "2", "2", "--seed", "-1"], "seed must be >= 0"),
         (["oracle", "4", "0", "5", "2", "--seed", "-1"], "seed must be >= 0"),
         (["verify", "--d-max", "2", "--n-max", "2", "--seed", "-1"], "seed must be >= 0"),
+        # the first class above the cap, before any class is built
+        (["enumerate", "--m-max", "1000"], "the class L(1001000,999999,2003,1000), whose degree"),
+        (["enumerate", "--m-max", "1", "--e-max", "500001"], "L(500001,500000,1000002,1), whose n"),
     ],
 )
 def test_invalid_value_exits_2(capsys, argv, message):
@@ -293,16 +305,17 @@ def test_verify_worker_pool_matches_serial(capsys):
     assert pooled == serial
 
 
-def _run_module(*argv):
+def _module_call(*argv):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    return subprocess.run(
-        [sys.executable, "-m", "qhplane", *argv],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60,
-    )
+    return {"args": [sys.executable, "-m", "qhplane", *argv], "cwd": root, "env": env}
+
+
+def _run_module(*argv):
+    return subprocess.run(**_module_call(*argv), capture_output=True, text=True, timeout=60)
 
 
 def test_python_dash_m_entry_point():
@@ -317,6 +330,17 @@ def test_certify_budget_exhausted_exits_1_without_traceback():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "qhplane: error: node budget 3 exhausted at L(3,0,2,3)\n"
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    proc = subprocess.Popen(
+        **_module_call("enumerate", "--m-max", "17", "--configurations"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader leaves before the first line is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_certify_too_deep_exits_1_without_traceback():

@@ -1,12 +1,14 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhplane import core, minus_one
 from qhplane.core import L, SoundnessError, invariants, virtual_dim
+from qhplane.cremona import reduces_to_line
 from qhplane.minus_one import (
     MinusOneClass,
-    MinusOneConfiguration,
     candidates_for,
     enumerate_configurations,
     enumerate_qh_classes,
@@ -202,11 +204,12 @@ def test_homogeneous_configurations():
 
 
 def test_members_meet_the_scan_bound():
-    # enumerate_configurations scans delta <= (m_max + 1) // 2 because every
-    # member of degree delta has total multiplicity m >= 2 delta - 1
+    # _minus_one_curves(n, m_max) scans delta <= (m_max + 1) // 2 because
+    # every member of degree delta has total multiplicity m >= 2 delta - 1
     for delta in range(1, 40):
-        for mu0, mu1, mu2, n in minus_one._minus_one_curves(delta):
-            assert mu1 + (n - 1) * mu2 >= 2 * delta - 1, (delta, mu0, mu1, mu2, n)
+        for mu0, mu1, mu2, n in _minus_one_curves_by_search(delta):
+            if n >= 3:
+                assert mu1 + (n - 1) * mu2 >= 2 * delta - 1, (delta, mu0, mu1, mu2, n)
 
 
 def _minus_one_curves_by_search(delta):
@@ -232,9 +235,30 @@ def test_minus_one_curves_match_search():
     # the search also finds (1; 1, 0, 1) on n = 2 points, the two lines
     # through p0, which the configurations hold as (1; 1, 1, 0)
     assert (1, 0, 1, 2) in _minus_one_curves_by_search(1)
-    for delta in range(1, 151):
-        searched = [t for t in _minus_one_curves_by_search(delta) if t[3] >= 3]
-        assert list(minus_one._minus_one_curves(delta)) == searched, delta
+    # a member of degree delta has total multiplicity at most 3 delta - 1,
+    # so n <= 3 delta and m_max = 3 D - 1 holds every orbit with delta <= D
+    D = 150
+    searched = sorted(
+        (delta, *t) for delta in range(1, D + 1)
+        for t in _minus_one_curves_by_search(delta) if t[3] >= 3
+    )
+    solved = []
+    for n in range(1, 3 * D + 1):
+        on_n = list(minus_one._minus_one_curves(n, 3 * D - 1))
+        assert on_n == sorted(on_n), n
+        solved += [(*curve, n) for curve in on_n if curve[0] <= D]
+    assert sorted(solved) == searched
+
+
+def test_classes_on_match_the_listing_by_m():
+    # the per-n solve against hyperbola_solutions(m) for every m <= 300,
+    # through enumerate_qh_classes, regrouped by n; the pencil reaches n = 800
+    by_n = defaultdict(list)
+    for c in enumerate_qh_classes(300, e_max=400):
+        by_n[c.system.n].append((c.system.d, c.system.m0, c.system.m))
+    assert max(by_n) == 800
+    for n in range(0, 801):
+        assert minus_one._classes_on(n, 300) == by_n.get(n, []), n
 
 
 def test_two_lines_orbit_truncated_by_e_max():
@@ -290,6 +314,13 @@ def test_line_pencil_class_reduces_in_e_minus_1_steps(e):
     assert ok
     assert len(cert["trace"]) == e - 1
     assert all(step.keys() == {"pivot"} for step in cert["trace"])
+
+
+def test_pencil_reduces_to_line_in_e_minus_1_steps():
+    # the induction that lets candidates_for accept the pencil by its family
+    for e in range(1, 301):
+        ok, trace = reduces_to_line(e, (e - 1,) + (1,) * (2 * e))
+        assert ok and len(trace) == e - 1, e
 
 
 def test_27_17_9_7_not_irreducible():
@@ -353,18 +384,56 @@ def test_decomposition_agrees_with_oracle():
 
 
 def test_candidates_cover_both_kinds():
-    kinds = {c.compound for c in candidates_for(L(6, 0, 5, 3))}
-    assert kinds == {False, True}
+    counts = {c[4] for c in candidates_for(L(6, 0, 5, 3))}
+    assert counts == {1, 5}
 
 
-def test_candidates_are_configurations_singles_first():
+def test_candidates_are_int_tuples_singles_first():
     cands = candidates_for(L(6, 0, 5, 3))
-    assert all(isinstance(c, MinusOneConfiguration) and c.n == 5 for c in cands)
-    compound = [c.compound for c in cands]
-    assert compound == sorted(compound)
+    assert all(len(c) == 5 and all(type(x) is int for x in c) for c in cands)
+    counts = [c[4] for c in cands]
+    assert counts == sorted(counts)
     assert cands is candidates_for(L(9, 2, 5, 3))  # the cached tuple itself
-    labels = {c.label for c in cands}
-    assert {"L(2,0,5,1)", "orbit(1;1,1,0^4)"} <= labels
+    # the conic through the five points, and the five lines through p0
+    assert {(2, 0, 1, 1, 1), (1, 1, 1, 0, 5)} <= set(cands)
+
+
+def _candidates_by_filtering(n, m):
+    """The candidates as they were built before the per-n solve: every
+    configuration with total multiplicity <= m, kept on n points, the single
+    curves checked by Cremona reduction."""
+    configs = enumerate_configurations(max(1, m), e_max=max(50, n))
+    on_n = [c for c in configs if c.n == n]
+    singles = [
+        c for c in on_n
+        if not c.compound
+        and reduces_to_line(c.delta, (c.mu0, c.mu1) + (c.mu2,) * (n - 1))[0]
+    ]
+    return tuple(
+        (c.delta, c.mu0, c.mu1, c.mu2, c.count)
+        for c in singles + [c for c in on_n if c.compound]
+    )
+
+
+def test_candidates_match_the_filtered_configurations():
+    for n in range(1, 41):
+        for m in range(1, 41):
+            assert candidates_for(L(10, 0, n, m)) == _candidates_by_filtering(n, m), (n, m)
+
+
+def test_candidates_build_no_system_and_enumerate_nothing(monkeypatch):
+    system = L(2000, 0, 2003, 1000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("candidates_for built a system or listed classes by m")
+
+    monkeypatch.setattr(core.QuasiHomogeneousSystem, "__post_init__", refuse)
+    monkeypatch.setattr(minus_one, "enumerate_qh_classes", refuse)
+    monkeypatch.setattr(minus_one, "enumerate_configurations", refuse)
+    minus_one._candidates.cache_clear()
+    # the m = 1000 extremal class, of degree 1,001,000 above the input cap,
+    # is a plain tuple
+    assert (1001000, 999999, 1000, 1000, 1) in candidates_for(system)
 
 
 def test_fixed_part_accounting_raises_soundness_error(monkeypatch):
