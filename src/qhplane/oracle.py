@@ -22,8 +22,16 @@ the generic rank, and the F_p rank of integer points is at most their rank
 over Q.  Fixing three points at the coordinate points is such a choice, so
 the bound still holds, with equality for general points.  By
 semicontinuity we take the minimum over independent trials, and stop as
-soon as a trial reaches max(-1, v), below which no trial can go.  Primes
-are limited to p <= 2^31 - 1 so that products of two residues fit in int64.
+soon as a trial reaches max(-1, v), below which no trial can go.
+
+The rank is a right-looking blocked elimination over panels of BLOCK
+columns.  Primes are limited to p <= 2^31 - 1 for two exact-arithmetic
+bounds: inside a panel, products of two residues stay below 2^62 and fit in
+int64; the trailing update runs through float64 BLAS on 16-bit limbs, where
+every sum of at most 2 BLOCK limb products stays an integer below 2^53.
+Memory stays a small multiple of the matrix: the kept columns are listed
+as an int64 array, and only the binomial rows that the largest
+multiplicity needs are built.
 """
 from __future__ import annotations
 
@@ -44,6 +52,11 @@ MERSENNE_31 = 2**31 - 1
 #: the most entries (rows x monomials of degree d) a condition matrix may
 #: have, 32 MiB of int64; larger inputs are refused before anything is built
 MAX_MATRIX_CELLS = 1 << 22
+#: panel width of `rank_mod_p`; the float64 update sums 2 BLOCK limb
+#: products, so BLOCK <= 32 keeps every sum below 2^53
+BLOCK = 32
+#: limb base of the float64 update: residues below 2^31 split in two
+LIMB = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,14 +89,16 @@ def _is_prime(p: int) -> bool:
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _binomials(n: int, p: int) -> np.ndarray:
-    """Pascal triangle mod p, shape (n+1, n+1)."""
-    C = np.zeros((n + 1, n + 1), dtype=np.int64)
-    C[:, 0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            C[i, j] = (C[i - 1, j - 1] + C[i - 1, j]) % p
-    return C
+def _binomials(d: int, rows: int, p: int) -> np.ndarray:
+    """Table Ct[i, a] = C(a, i) mod p for i < rows, a <= d, row by row from
+    the hockey stick C(a, i) = sum of C(b, i - 1) over b < a."""
+    Ct = np.zeros((rows, d + 1), dtype=np.int64)
+    Ct[:1] = 1
+    for i in range(1, rows):
+        # d residues below 2^31 sum to below 2^63 for any d < 2^32
+        np.cumsum(Ct[i - 1, :-1], out=Ct[i, 1:])
+        Ct[i, 1:] %= p
+    return Ct
 
 
 def condition_rows(
@@ -95,72 +110,137 @@ def condition_rows(
     """Interpolation matrix for degree-d curves, one block of rows per point.
 
     points: (x, y, mult) in the affine chart z = 1.  Columns are indexed by
-    `monomials`, pairs (a, b) standing for x^a y^b; None means every
-    monomial with a + b <= d, ordered by a then b.  The row for derivative
-    order (i, j), i + j < mult, at (px, py) has entry C(a,i) C(b,j)
-    px^(a-i) py^(b-j) in the (a, b) column: the x^i y^j coefficient of the
-    monomial shifted to the point.
+    `monomials`, pairs (a, b) standing for x^a y^b (a sequence of pairs or
+    an (n, 2) int64 array); None means every monomial with a + b <= d,
+    ordered by a then b.  The row for derivative order (i, j), i + j < mult,
+    at (px, py) has entry C(a,i) C(b,j) px^(a-i) py^(b-j) in the (a, b)
+    column: the x^i y^j coefficient of the monomial shifted to the point.
     """
     if monomials is None:
         monomials = [(a, b) for a in range(d + 1) for b in range(d + 1 - a)]
-    A = np.array([a for a, _ in monomials], dtype=np.int64)
-    B = np.array([b for _, b in monomials], dtype=np.int64)
-    # Ct[i, a] = C(a, i); zero for i > a.
-    Ct = _binomials(d, p).T
-    a_minus_i = np.arange(d + 1)[None, :] - np.arange(d + 1)[:, None]
-    blocks = []
+    A, B = np.asarray(monomials, dtype=np.int64).reshape(-1, 2).T
+    points = [(px, py, mult) for px, py, mult in points if mult > 0]
+    Ct = _binomials(d, max((mult for _, _, mult in points), default=0), p)
+    nrows = sum(mult * (mult + 1) // 2 for _, _, mult in points)
+    out = np.empty((nrows, len(A)), dtype=np.int64)
+    row = 0
     for px, py, mult in points:
-        if mult <= 0:
-            continue
-        ii = np.array([i for i in range(mult) for _ in range(mult - i)])
-        jj = np.array([j for i in range(mult) for j in range(mult - i)])
-        X = _shifted_powers(Ct, a_minus_i, px % p, mult, p)
-        Y = _shifted_powers(Ct, a_minus_i, py % p, mult, p)
-        blocks.append(X[ii][:, A] * Y[jj][:, B] % p)
-    if not blocks:
-        return np.zeros((0, len(A)), dtype=np.int64)
-    return np.concatenate(blocks)
+        ii = [i for i in range(mult) for _ in range(mult - i)]
+        jj = [j for i in range(mult) for j in range(mult - i)]
+        X = _shifted_powers(Ct[:mult], px % p, p)
+        Y = _shifted_powers(Ct[:mult], py % p, p)
+        block = out[row : row + len(ii)]
+        np.multiply(X[ii][:, A], Y[jj][:, B], out=block)
+        block %= p
+        row += len(ii)
+    return out
 
 
-def _shifted_powers(
-    Ct: np.ndarray, a_minus_i: np.ndarray, x: int, mult: int, p: int
-) -> np.ndarray:
-    """Table T[i, a] = C(a, i) x^(a-i) mod p for i < mult, a <= d; rows
-    i > d are zero."""
-    d = len(Ct) - 1
-    powers = np.ones(d + 1, dtype=np.int64)
-    for k in range(1, d + 1):
+def _shifted_powers(Ct: np.ndarray, x: int, p: int) -> np.ndarray:
+    """Table T[i, a] = C(a, i) x^(a-i) mod p for the rows i of Ct; the
+    entries with a < i are zero because C(a, i) is."""
+    mult, n = Ct.shape
+    powers = np.ones(n, dtype=np.int64)
+    for k in range(1, n):
         powers[k] = powers[k - 1] * x % p
-    table = np.zeros((mult, d + 1), dtype=np.int64)
-    k = min(mult, d + 1)
-    table[:k] = Ct[:k] * powers[np.maximum(a_minus_i[:k], 0)] % p
-    return table
+    a_minus_i = np.arange(n) - np.arange(mult)[:, None]
+    return Ct * powers[np.maximum(a_minus_i, 0)] % p
+
+
+def _reduce(x: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """x <- x mod p in place for int64 x, with scratch of x's shape.  The
+    three passes cost about 60% of one int64 np.remainder pass."""
+    np.floor_divide(x, p, out=scratch)
+    scratch *= p
+    x -= scratch
+
+
+def _add_mul_mod(
+    C: np.ndarray, L: np.ndarray, U: np.ndarray, p: int, buf: np.ndarray
+) -> None:
+    """C <- (C + L @ U) mod p in place, for residues with L at most BLOCK
+    columns wide, exactly, through float64 BLAS.
+
+    U splits into 16-bit limbs, U = U_lo + LIMB U_hi, and the product is
+    [L, LIMB L mod p] @ [U_lo; U_hi].  Each entry sums at most BLOCK products
+    below 2^31 * 2^16 and BLOCK below 2^31 * 2^15; with C's residue that is
+    below 2^53, so every float64 partial sum is an exact integer whatever
+    order BLAS adds them in.  buf holds the product, then the scratch of the
+    reduction."""
+    m, k = L.shape
+    n = U.shape[1]
+    Lf = np.empty((m, 2 * k))
+    Lf[:, :k] = L
+    Lf[:, k:] = L * LIMB % p
+    Uf = np.empty((2 * k, n))
+    np.bitwise_and(U, LIMB - 1, out=Uf[:k])
+    np.floor_divide(U, LIMB, out=Uf[k:])
+    product = buf[: m * n].reshape(m, n)
+    np.matmul(Lf, Uf, out=product)
+    np.add(C, product, out=C, casting="unsafe")
+    _reduce(C, p, buf.view(np.int64)[: m * n].reshape(m, n))
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over F_p by Gaussian elimination, pivoting on the first nonzero
-    entry of each column.  int64 is safe: products stay below 2^62 for
-    p <= 2^31 - 1."""
-    A = matrix % p
+    """Rank over F_p of an integer matrix, which is not modified.
+
+    Right-looking blocked elimination: each panel of BLOCK columns is
+    eliminated column by column, pivoting on the first nonzero entry and
+    swapping whole rows, in int64, where products of two residues stay
+    below 2^62.  The panel's row operations are also applied to an identity
+    block beside it, which ends up holding -L21 L11^-1, so the rows below
+    the panel's pivots take the Schur complement update
+    A22 <- A22 - L21 L11^-1 A12 = A22 - L21 U12 in one float64 product whose
+    limb sums stay below 2^53 (`_add_mul_mod`).  Raises ValueError unless
+    2 <= p <= 2^31 - 1, the range both bounds need; p must be prime."""
+    if not 2 <= p <= MERSENNE_31:
+        raise ValueError(f"rank_mod_p needs 2 <= p <= 2^31 - 1, got {p}")
+    A = np.asarray(matrix, dtype=np.int64) % p
     rows, cols = A.shape
+    # the first trailing product is the largest: below at least one pivot
+    # row and right of at least one column
+    buf = np.empty(max(rows - 1, 0) * max(cols - 1, 0))
     rank = 0
-    for col in range(cols):
+    for c0 in range(0, cols, BLOCK):
         if rank == rows:
             break
-        nz = np.flatnonzero(A[rank:, col])
-        if not nz.size:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            A[[rank, pivot]] = A[[pivot, rank]]
-        # The swap moved a row with a zero in this column to `pivot`; every
-        # other nonzero row below keeps its index.
-        below = rank + nz[1:]
-        if below.size:
-            inv = pow(int(A[rank, col]), p - 2, p)
-            factors = A[below, col] * inv % p
-            A[below, col:] = (A[below, col:] - factors[:, None] * A[rank, col:]) % p
-        rank += 1
+        c1 = min(c0 + BLOCK, cols)
+        w = c1 - c0
+        r0 = rank
+        # Column w + t records each row's multiple of the t-th pivot row as
+        # it was before the panel.  Fortran order keeps every column range
+        # one contiguous block.
+        Q = np.zeros((rows - r0, 2 * w), dtype=np.int64, order="F")
+        Q[:, :w] = A[r0:, c0:c1]
+        scratch = np.empty_like(Q)
+        t = 0
+        for j in range(w):
+            nz = Q[t:, j].nonzero()[0]
+            if not nz.size:
+                continue
+            s = t + int(nz[0])
+            if s != t:
+                Q[[t, s]] = Q[[s, t]]
+                A[[r0 + t, r0 + s]] = A[[r0 + s, r0 + t]]
+            Q[t, w + t] = 1
+            # Scale the pivot row to a leading 1, so that the multiple of it
+            # to subtract from row i is Q[i, j].  Rows up to t are finished
+            # and are never read again, so they take the update too: every
+            # column range stays one contiguous block.
+            pivot_row = Q[t, j + 1 : w + t + 1]
+            pivot_row *= pow(int(Q[t, j]), -1, p)
+            pivot_row %= p
+            rest = Q[:, j + 1 : w + t + 1]
+            tmp = scratch[:, : rest.shape[1]]
+            np.multiply.outer(Q[:, j], pivot_row, out=tmp)
+            rest -= tmp
+            _reduce(rest, p, tmp)
+            t += 1
+            if r0 + t == rows:
+                break
+        rank += t
+        if t and rank < rows and c1 < cols:
+            _add_mul_mod(A[rank:, c1:], Q[t:, w : w + t], A[r0:rank, c1:], p, buf)
     return rank
 
 
@@ -204,11 +284,14 @@ def measure_dim_mults(
     ncols = sum(max(0, min(d - a, d - m2) - max(0, m0 - a) + 1) for a in range(d - m1 + 1))
     if not sampled or not ncols:
         return ncols - 1
-    kept = [
-        (a, b)
-        for a in range(d - m1 + 1)
-        for b in range(max(0, m0 - a), min(d - a, d - m2) + 1)
-    ]
+    # List those columns as an (ncols, 2) int64 array of (a, b) pairs, not a
+    # Python tuple per monomial: row a's b run from lo[a] over counts[a].
+    a = np.arange(d - m1 + 1)
+    lo = np.maximum(0, m0 - a)
+    counts = np.maximum(0, np.minimum(d - a, d - m2) - lo + 1)
+    kept = np.empty((ncols, 2), dtype=np.int64)
+    kept[:, 0] = np.repeat(a, counts)
+    kept[:, 1] = np.arange(ncols) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     floor = max(-1, cols - 1 - sum(m * (m + 1) // 2 for m in active))
     best = ncols - 1
     for trial in range(cfg.trials):

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhplane import oracle
@@ -164,6 +164,30 @@ def reference_rank(matrix, p):
     return rank
 
 
+def previous_rank_mod_p(matrix, p):
+    """rank_mod_p before the blocked elimination: one pivot at a time on the
+    first nonzero entry of each column, updating every nonzero row below."""
+    A = matrix % p
+    rows, cols = A.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        nz = np.flatnonzero(A[rank:, col])
+        if not nz.size:
+            continue
+        pivot = rank + int(nz[0])
+        if pivot != rank:
+            A[[rank, pivot]] = A[[pivot, rank]]
+        below = rank + nz[1:]
+        if below.size:
+            inv = pow(int(A[rank, col]), p - 2, p)
+            factors = A[below, col] * inv % p
+            A[below, col:] = (A[below, col:] - factors[:, None] * A[rank, col:]) % p
+        rank += 1
+    return rank
+
+
 def full_matrix_dim(d, mults, cfg):
     """The oracle without coordinate points: every point sampled, every
     column kept, min over all cfg.trials."""
@@ -205,6 +229,80 @@ def test_rank_mod_p_matches_reference():
             M = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols))
             M[rng.integers(0, rows)] = 0
             assert rank_mod_p(M % p, p) == reference_rank(M, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.sampled_from([0, 1, 5, 31, 32, 33, 64, 65, 96, 98, 110]),
+    cols=st.sampled_from([0, 1, 31, 32, 33, 63, 64, 65, 97]),
+    p=st.sampled_from([2, 3, 65521, MERSENNE_31]),
+    kind=st.sampled_from(
+        ["random", "low_rank", "all_p_minus_1", "largest_limb_sums", "no_pivot_panel",
+         "zero_columns", "duplicate_rows"]
+    ),
+    unreduced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=110, cols=97, p=MERSENNE_31, kind="largest_limb_sums", unreduced=False, seed=0)
+@example(rows=65, cols=65, p=MERSENNE_31, kind="largest_limb_sums", unreduced=True, seed=0)
+@example(rows=110, cols=97, p=MERSENNE_31, kind="all_p_minus_1", unreduced=False, seed=0)
+@example(rows=98, cols=97, p=3, kind="no_pivot_panel", unreduced=True, seed=1)
+@example(rows=0, cols=97, p=2, kind="random", unreduced=False, seed=0)
+@example(rows=98, cols=0, p=65521, kind="random", unreduced=False, seed=0)
+def test_rank_mod_p_matches_previous_elimination_across_panels(
+    rows, cols, p, kind, unreduced, seed
+):
+    # Column counts around the 32-column panels, so that trailing updates,
+    # panels without a pivot and a last partial panel all occur.
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, p, size=(rows, cols))
+    if kind == "low_rank":
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        M = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, 4, size=(r, cols)) % p
+    elif kind == "all_p_minus_1":  # every limb product at its largest
+        M = np.full((rows, cols), p - 1)
+    elif kind == "largest_limb_sums":
+        # [[I, (p-2) J], [2 J, c J]] with c = 2k (p - 2): rank k.  The rows
+        # below the identity take the trailing update with every multiplier
+        # and every entry of A12 equal to p - 2, whose limbs are odd and
+        # near 2^16 and 2^15, so a limb sum past 2^53 would be rounded.
+        k = min(rows, cols, 64)
+        M = np.full((rows, cols), 2 * k * (p - 2) % p)
+        M[:k] = p - 2
+        M[:, :k] = 2
+        M[:k, :k] = np.eye(k, dtype=np.int64)
+    elif kind == "no_pivot_panel" and cols > 32:
+        # columns 32..63 lie in the span of the first panel's, so below its
+        # pivots the second panel is zero
+        M[:, 32:64] = M[:, :32] @ rng.integers(0, 4, size=(32, min(cols, 64) - 32)) % p
+    elif kind == "zero_columns" and cols:
+        M[:, rng.integers(0, cols, size=max(1, cols // 4))] = 0
+    elif kind == "duplicate_rows" and rows > 1:
+        M[rng.integers(0, rows, size=rows // 2)] = M[rng.integers(0, rows)]
+    if unreduced:
+        M = M + p * rng.integers(-3, 4, size=M.shape)
+    before = M.copy()
+    assert rank_mod_p(M, p) == previous_rank_mod_p(M, p)
+    assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("p", [0, 1, -5, MERSENNE_31 + 1, 4294967311])
+def test_rank_mod_p_rejects_primes_outside_the_exact_range(p):
+    with pytest.raises(ValueError, match=r"2 <= p <= 2\^31 - 1"):
+        rank_mod_p(np.ones((2, 2), dtype=np.int64), p)
+
+
+def test_memory_is_bounded_by_the_matrix():
+    # one sampled point at degree 2000: a 1 x 2,003,001 matrix of int64
+    cells = 2001 * 2002 // 2
+    tracemalloc.start()
+    try:
+        dim = measure_dim_mults(2000, [1, 1, 1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == cells - 4 - 1
+    assert peak < 8 * 8 * cells
 
 
 def test_centred_oracle_matches_full_matrix_reference():
