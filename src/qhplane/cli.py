@@ -1,12 +1,16 @@
 """Command-line interface.
 
-Subcommands: dim, classify, enumerate, oracle, certify, verify, table.
+Subcommands: dim, classify, enumerate, oracle, certify, check, verify,
+table.  `certify --cache` checks a cache entry when the certifier first
+reads it; `check` checks every entry of a cache file.
 Exit codes: 0 success, 1 verification mismatch, an exhausted certifier
 budget, a certifier recursion deeper than Python's recursion limit or a
 reader that closed standard output early, 2 usage error (including a
 ValueError from invalid input, such as a budget below 1, more verify
-workers than CPUs, or an enumerate bound whose classes exceed the input
-cap).  Errors are reported as `qhplane: error: ...` on stderr.
+workers than CPUs, an enumerate bound whose classes exceed the input cap,
+or a cache file that is malformed, of another version for `check`, or
+holds an untrusted entry).  Errors are reported as `qhplane: error: ...`
+on stderr.
 """
 
 from __future__ import annotations
@@ -201,6 +205,18 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def cmd_check(args) -> int:
+    try:
+        entries = degeneration.check_cache(args.cache)
+    except OSError as exc:
+        raise ValueError(f"{args.cache}: {exc.strerror or exc}") from None
+    if args.json:
+        _emit_json({"cache": args.cache, "entries": entries})
+    else:
+        print(f"{args.cache}: {entries} entries checked")
+    return 0
+
+
 def _verify_cell(cfg: oracle.OracleConfig, cell: tuple[int, int, int, int]) -> Optional[dict]:
     sys_ = L(*cell)
     theory = classifier.dimension(sys_)
@@ -297,6 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     _format_flag(p, csv_too=False)
     p.set_defaults(func=cmd_certify)
+
+    p = sub.add_parser("check", help="check every entry of a certify cache file")
+    p.add_argument("cache", type=str, help="memo cache file")
+    _format_flag(p, csv_too=False)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="theory-vs-oracle sweep")
     p.add_argument("--d-max", type=int, required=True)

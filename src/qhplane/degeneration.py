@@ -34,6 +34,14 @@ takes two Python frames, so a chain deeper than about half of Python's
 recursion limit raises RecursionError.  Its soundness checks (the split
 identities and semicontinuity) raise SoundnessError, so they also run under
 `python -O`.
+
+The memo can persist in a JSON cache file (`certify --cache`).  A load
+parses the file and adds its entries to the memo unchecked; each is checked
+when the recursion first reads it, so a run pays for the entries it reads,
+not for the whole file, and check_cache (`qhplane check`) checks them all.
+A save of a memo loaded from a file laid out as save_cache writes it
+encodes only the entries added since and splices them into the loaded
+text, which gives the same bytes as encoding the whole memo.
 """
 
 from __future__ import annotations
@@ -76,6 +84,8 @@ _MISS = object()
 #: a key as _KEY writes it with every integer below 10^7: no sign, space or
 #: leading zero, so the bulk check's int64 arithmetic cannot overflow
 _KEY_FORM = re.compile(",".join(["(?:0|[1-9][0-9]{0,6})"] * 4)).fullmatch
+#: how json.dumps of a cache file's object begins; its entries follow
+_HEAD = '{"version": %d, "entries": {' % CACHE_VERSION
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,10 @@ class Certifier:
         self.budget = budget
         self.nodes = 0
         self.memo: dict[str, Optional[int]] = {}
+        #: loaded keys not yet checked, each with the file it came from
+        self._unchecked: dict[str, str] = {}
+        #: the text of the cache file that filled the memo, and its entry count
+        self._loaded: tuple[Optional[str], int] = (None, 0)
 
     # -- cache persistence --------------------------------------------------
 
@@ -207,45 +221,65 @@ class Certifier:
         Each entry maps a system key to its proved dim, or to null when it
         is unknown; a file of another version is ignored.  Raises ValueError,
         naming the file, on a file that is not a JSON object with an object
-        of entries, and, naming the key too, on a key that is not the
-        canonical key of a system with entries up to MAX_INPUT or a dim that
-        is neither null nor an int from e to the dim of L(d, m0).  Every
-        entry is checked at load, used or not, in one vectorised pass
-        (_entries_ok); only when that pass finds a bad entry does
-        _check_entry run entry by entry to name the first one.  New entries
-        join the memo in file order.  The entries carry no proof: a dim in
-        that interval is trusted."""
+        of entries.  The entries are not checked here: new ones join the
+        memo in file order, and each is checked by _check_entry when the
+        recursion first reads it (check_cache checks them all).  A bad one
+        then raises ValueError naming the file and its key, so no unchecked
+        dim reaches an answer.  The entries carry no proof: a dim from e to
+        the dim of L(d, m0) is trusted.
+
+        When the memo was empty and the file is laid out as save_cache
+        writes it, its text is kept, so that save_cache need encode only
+        the entries added after it."""
         if not os.path.exists(path):
             return 0
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{path}: not a JSON cache file: {exc}") from None
-        if not (isinstance(data, dict) and isinstance(data.get("entries", {}), dict)):
-            raise ValueError(f"{path}: not a JSON object with an object of entries")
+        text, data = _read_cache(path)
         if data.get("version") != CACHE_VERSION:
             return 0
         entries = data.get("entries", {})
-        if not _entries_ok(entries):
-            for key, dim in entries.items():
-                try:
-                    _check_entry(key, dim)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
         memo = self.memo
         if memo:
             entries = {key: dim for key, dim in entries.items() if key not in memo}
+        elif (
+            list(data) == ["version", "entries"]
+            and text.startswith(_HEAD)
+            and text.endswith("}}")
+        ):
+            self._loaded = (text, len(entries))
         memo.update(entries)
+        self._unchecked.update(dict.fromkeys(entries, path))
         return len(entries)
 
     def save_cache(self, path: str) -> None:
-        # json.dumps runs the C encoder; json.dump to a file does not
-        text = json.dumps({"version": CACHE_VERSION, "entries": self.memo})
+        """Write the memo as a cache file, through a temporary file that
+        replaces it; the text is json.dumps of {"version", "entries"}.
+
+        When load_cache kept the text of the file that filled the memo, only
+        the entries added since are encoded, and spliced in before its
+        closing braces.  A temporary file left by a failed write or replace
+        is removed."""
+        memo = self.memo
+        text, base = self._loaded
+        if text is not None:
+            # json.dumps runs the C encoder; json.dump to a file does not
+            added = json.dumps(dict(islice(memo.items(), base, None)))[1:-1]
+            text = text[:-2] + (", " if base and added else "") + added + "}}"
+        else:
+            text = json.dumps({"version": CACHE_VERSION, "entries": memo})
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+
+    def _check(self, key: str) -> None:
+        """Check a loaded memo entry on its first read (see load_cache)."""
+        _check_cached(self._unchecked[key], key, self.memo[key])
+        del self._unchecked[key]
 
     # -- certification ------------------------------------------------------
 
@@ -260,6 +294,8 @@ class Certifier:
         system = L if type(L) is tuple else L.as_tuple()
         key = _KEY % canonical_key(*system)
         if key in self.memo:
+            if self._unchecked and key in self._unchecked:
+                self._check(key)
             return self._build(system, tree)
         self.nodes += 1
         if self.nodes > self.budget:
@@ -279,7 +315,7 @@ class Certifier:
         certify, which counts the node, with no tree.  That lookup is written
         out at both places rather than in a helper, so each level of the
         recursion costs two Python frames: certify and _build."""
-        memo = self.memo
+        memo, unchecked = self.memo, self._unchecked
         d, m0, n, m = system
         v = lattice_virtual_dim(d, m0, n, m)
         e = max(-1, v)
@@ -292,9 +328,14 @@ class Certifier:
             # empty boundary system (the fewest points with v <= -1) empties L.
             nb = n - (-1 - v) // (m * (m + 1) // 2)
             bound = (d, m0, nb, m)
-            dim = memo.get(_KEY % canonical_key(*bound), _MISS) if nb < n else None
-            if dim is _MISS:
-                dim = self.certify(bound, tree=False).dim
+            dim = None
+            if nb < n:
+                key = _KEY % canonical_key(*bound)
+                dim = memo.get(key, _MISS)
+                if dim is _MISS:
+                    dim = self.certify(bound, tree=False).dim
+                elif unchecked and key in unchecked:
+                    self._check(key)
             if dim == -1:
                 via = {}
                 if tree:
@@ -306,9 +347,12 @@ class Certifier:
             subs, vs = _split_tuples(d, m0, n, m, k, b, v)
             dims = []
             for sub in subs:
-                dim = memo.get(_KEY % canonical_key(*sub), _MISS)
+                key = _KEY % canonical_key(*sub)
+                dim = memo.get(key, _MISS)
                 if dim is _MISS:
                     dim = self.certify(sub, tree=False).dim
+                elif unchecked and key in unchecked:
+                    self._check(key)
                 if dim is None:
                     break
                 dims.append(dim)
@@ -391,9 +435,50 @@ def _ranked_splits(d: int, n: int) -> Iterator[tuple[int, int]]:
         yield k, b
 
 
+def _read_cache(path: str) -> tuple[str, dict]:
+    """The text of a cache file and the object it holds.  Raises ValueError,
+    naming the file, unless that is a JSON object with an object of entries."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON cache file: {exc}") from None
+    if not (isinstance(data, dict) and isinstance(data.get("entries", {}), dict)):
+        raise ValueError(f"{path}: not a JSON object with an object of entries")
+    return text, data
+
+
+def check_cache(path: str) -> int:
+    """Check every entry of a cache file; returns how many it holds.
+
+    Raises ValueError, naming the file, as load_cache does on a malformed
+    file, and on a file of another version, which load_cache ignores.  The
+    entries are checked in one vectorised pass (_entries_ok); only when that
+    finds a bad entry does _check_entry run entry by entry to name the first
+    one, by its key."""
+    data = _read_cache(path)[1]
+    version = data.get("version")
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: cache version {version!r} is not {CACHE_VERSION}")
+    entries = data.get("entries", {})
+    if not _entries_ok(entries):
+        for key, dim in entries.items():
+            _check_cached(path, key, dim)
+    return len(entries)
+
+
+def _check_cached(path: str, key: str, dim: object) -> None:
+    """_check_entry on an entry of the cache file at path, naming both."""
+    try:
+        _check_entry(key, dim)
+    except ValueError as exc:
+        raise ValueError(f"{path}: untrusted cache entry {key!r}: {exc}") from None
+
+
 def _check_entry(key: str, dim: object) -> None:
-    """Check a cache entry key -> dim: the reference for _entries_ok, which
-    load_cache runs first, and the check that names a bad entry.
+    """Check a cache entry key -> dim: the check a loaded entry gets on its
+    first read, the reference for _entries_ok, and what names a bad entry.
 
     Raises ValueError when the key is not core.canonical_key of a system as
     four plain decimal integers up to MAX_INPUT (checked by formatting the

@@ -228,25 +228,12 @@ def test_certify_rejects_tampered_cache(capsys, tmp_path):
 @pytest.mark.parametrize(
     "name, text, named",
     [
-        (
-            "memo.json",
-            json.dumps({"version": degeneration.CACHE_VERSION, "entries": {"10,0,5,3": -1}}),
-            "'10,0,5,3'",  # e is 35
-        ),
-        (
-            "memo.json",
-            json.dumps({"version": degeneration.CACHE_VERSION, "entries": {"10,0,11,3": 66}}),
-            "to 65, the dim of L(10,0)",
-        ),
         ("memo.json", "[]", "not a JSON object with an object of entries"),
         ("memo.json", "not json", "not a JSON cache file"),
         (".", None, "Is a directory"),  # tmp_path itself
         ("missing/x.json", None, "missing is not a writable directory"),
     ],
-    ids=[
-        "dim-below-e", "dim-above-L-d-m0", "not-an-object", "not-json", "a-directory",
-        "in-a-missing-directory",
-    ],
+    ids=["not-an-object", "not-json", "a-directory", "in-a-missing-directory"],
 )
 def test_certify_rejects_untrusted_cache_file(capsys, monkeypatch, tmp_path, name, text, named):
     cache = tmp_path / name
@@ -262,6 +249,79 @@ def test_certify_rejects_untrusted_cache_file(capsys, monkeypatch, tmp_path, nam
     assert captured.out == ""
     assert captured.err.startswith(f"qhplane: error: {cache}: ")
     assert named in captured.err
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({"10,0,5,3": -1}, "untrusted cache entry '10,0,5,3': "),  # e is 35
+        ({"10,0,11,3": 66}, "untrusted cache entry '10,0,11,3': dim 66 is not null or an "
+                            "integer from e = -1 to 65, the dim of L(10,0)"),
+    ],
+    ids=["dim-below-e", "dim-above-L-d-m0"],
+)
+def test_check_rejects_untrusted_cache_entry(capsys, tmp_path, entries, named):
+    cache = tmp_path / "memo.json"
+    cache.write_text(json.dumps({"version": degeneration.CACHE_VERSION, "entries": entries}))
+    assert main(["check", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"qhplane: error: {cache}: {named}")
+    if "10,0,5,3" in entries:
+        # the target's own key: certify reads it first and stops there
+        assert main(["certify", "10", "0", "5", "3", "--cache", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"qhplane: error: {cache}: {named}")
+
+
+def test_check_subcommand(capsys, tmp_path):
+    cache = str(tmp_path / "memo.json")
+    assert run(capsys, "certify", "10", "0", "11", "3", "--cache", cache)[0] == 0
+    entries = len(json.loads(Path(cache).read_text())["entries"])
+    assert run(capsys, "check", cache) == (0, f"{cache}: {entries} entries checked\n")
+    code, out = run(capsys, "check", cache, "--json")
+    assert code == 0 and json.loads(out) == {"schema": 1, "cache": cache, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "name, text, named",
+    [
+        ("missing.json", None, "missing.json: No such file or directory"),
+        (".", None, "Is a directory"),
+        ("memo.json", "not json", "not a JSON cache file"),
+        ("memo.json", '{"version": 2, "entries": {}}', "cache version 2 is not 3"),
+    ],
+    ids=["missing", "a-directory", "not-json", "another-version"],
+)
+def test_check_rejects_a_file_it_cannot_check(capsys, tmp_path, name, text, named):
+    cache = tmp_path / name
+    if text is not None:
+        cache.write_text(text)
+    assert main(["check", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"qhplane: error: {cache}: ")
+    assert named in captured.err
+
+
+def test_an_unread_bad_entry_survives_a_rewrite_and_check_names_it(capsys, tmp_path):
+    cache = tmp_path / "memo.json"
+    assert main(["certify", "10", "0", "11", "3", "--cache", str(cache)]) == 0
+    data = json.loads(cache.read_text())
+    key = "30,0,0,0"
+    data["entries"][key] = 500  # above 495, the dim of L(30,0)
+    cache.write_text(json.dumps(data))
+    before = os.stat(cache).st_ino
+    capsys.readouterr()
+    fresh = run(capsys, "certify", "12", "0", "13", "3", "--json")
+    assert run(capsys, "certify", "12", "0", "13", "3", "--json", "--cache", str(cache)) == fresh
+    assert os.stat(cache).st_ino != before  # rewritten, with new entries
+    rewritten = json.loads(cache.read_text())["entries"]
+    assert rewritten[key] == 500 and len(rewritten) > len(data["entries"])
+    assert main(["check", str(cache)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"qhplane: error: {cache}: untrusted cache entry {key!r}: "
+    )
 
 
 def test_certify_through_a_cache_names_the_system_asked_for(capsys, tmp_path):

@@ -30,6 +30,7 @@ from qhplane.degeneration import (
     split,
 )
 from qhplane.classifier import lookup_special_table
+from qhplane.cli import main
 from qhplane.oracle import measure_dim
 
 
@@ -219,16 +220,46 @@ _UNTRUSTED = [
 @pytest.mark.parametrize(
     "key, entry", _UNTRUSTED, ids=[f"{k}-entry{i}" for i, (k, _) in enumerate(_UNTRUSTED)]
 )
-def test_load_cache_rejects_tampered_entries(tmp_path, key, entry):
+def test_load_cache_rejects_tampered_entries(tmp_path, capsys, key, entry):
+    # A malformed file is refused at load.  A bad entry loads, and is named
+    # by check_cache and `qhplane check`, and by a Certifier that reads it.
     if key is None:
         path = str(tmp_path / "cache.json")
         with open(path, "w") as fh:
             fh.write(entry)
+        with pytest.raises(ValueError) as exc:
+            Certifier().load_cache(path)
+        assert str(exc.value).startswith(f"{path}: ")
     else:
         path = _tampered_cache(tmp_path, key, entry)
+        _assert_read_names(path, key)
     with pytest.raises(ValueError) as exc:
-        Certifier().load_cache(path)
-    assert path in str(exc.value) and (key is None or repr(key) in str(exc.value))
+        degeneration.check_cache(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ")
+    if key is not None:
+        assert message.startswith(f"{path}: untrusted cache entry {key!r}: ")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"qhplane: error: {message}\n"
+
+
+def _assert_read_names(path, key):
+    """A Certifier that loaded path raises the path-and-key message when it
+    first reads key.  It reads the key of a system by certifying that
+    system; no recursion reads any other key, so that one is checked as
+    every memo lookup checks a loaded key."""
+    loaded = Certifier()
+    loaded.load_cache(path)
+    try:
+        system = L(*map(int, key.split(",")))
+    except (TypeError, ValueError):
+        system = None
+    with pytest.raises(ValueError) as exc:
+        if system is not None and degeneration._KEY % canonical_key(*system.as_tuple()) == key:
+            loaded.certify(system)
+        else:
+            loaded._check(key)
+    assert str(exc.value).startswith(f"{path}: untrusted cache entry {key!r}: ")
 
 
 def _reference_accepts(entries):
@@ -340,8 +371,98 @@ def test_tampered_entry_after_the_full_ladder_is_named(tmp_path, key, dim):
     with open(path, "w") as fh:
         json.dump(data, fh)
     with pytest.raises(ValueError, match="untrusted cache entry") as exc:
-        Certifier().load_cache(path)
+        degeneration.check_cache(path)
     assert str(exc.value).startswith(f"{path}: untrusted cache entry {key!r}: ")
+    _assert_read_names(path, key)
+
+
+def test_a_bad_entry_is_named_where_the_recursion_reads_it(tmp_path):
+    # L(10,0,12,3) looks up its boundary L(10,0,11,3), which the split (3, 4)
+    # proves empty; each lookup checks the loaded entry it reads
+    cf = Certifier()
+    cert = cf.certify(L(10, 0, 12, 3))
+    assert cert.tree["fewer_points"] == 11
+    sub = canonical_key(*cf.certify(L(10, 0, 11, 3)).tree["subsystems"][0]["system"])
+    for key, system in (("10,0,11,3", L(10, 0, 12, 3)), (degeneration._KEY % sub, L(10, 0, 11, 3))):
+        path = _tampered_cache(tmp_path, key, -2)
+        loaded = Certifier()
+        loaded.load_cache(path)
+        with pytest.raises(ValueError) as exc:
+            loaded.certify(system)
+        assert str(exc.value).startswith(f"{path}: untrusted cache entry {key!r}: ")
+
+
+def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
+    # The 62-call ladder loads 61 files holding 54,011 entries in all; it
+    # checks the 1,056 it reads, and writes the bytes json.dumps gives
+    checked = []
+    check_entry = degeneration._check_entry
+
+    def count(key, dim):
+        checked.append(key)
+        return check_entry(key, dim)
+
+    monkeypatch.setattr(degeneration, "_check_entry", count)
+    path = str(tmp_path / "cache.json")
+    _ladder_cache(path, 62)
+    assert len(checked) == 1056
+    with open(path, "rb") as fh:
+        text = fh.read()
+    assert len(text) == 25364 and text == json.dumps(json.loads(text)).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "7f95c5012eab9398588266bf9219a69912b2918db6d36a23ae12330f228cbe8c"
+    )
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda data: json.dumps(data, indent=2),
+        lambda data: json.dumps({**data, "note": "kept by hand"}),
+        lambda data: json.dumps(data, separators=(",", ":")),
+        lambda data: json.dumps(data) + "\n",
+    ],
+    ids=["indented", "extra-key", "compact", "trailing-newline"],
+)
+def test_a_cache_in_another_layout_is_rewritten_whole(tmp_path, layout):
+    canonical = str(tmp_path / "canonical.json")
+    path = str(tmp_path / "cache.json")
+    certify(L(7, 0, 8, 3), cache_path=canonical)
+    with open(canonical) as fh:
+        data = json.load(fh)
+    with open(path, "w") as fh:
+        fh.write(layout(data))
+    for target in (L(9, 0, 11, 3), L(12, 0, 13, 3)):
+        certify(target, cache_path=canonical)
+        certify(target, cache_path=path)
+    with open(path) as fh, open(canonical) as gh:
+        text = fh.read()
+        assert text == gh.read()
+    loaded = Certifier()
+    loaded.load_cache(path)
+    assert list(loaded.memo.items()) == list(json.loads(text)["entries"].items())
+
+
+def test_a_cache_with_no_entries_is_extended_in_place(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"version": degeneration.CACHE_VERSION, "entries": {}}))
+    certify(L(7, 0, 8, 3), cache_path=str(path))
+    cf = Certifier()
+    cf.certify(L(7, 0, 8, 3))
+    want = {"version": degeneration.CACHE_VERSION, "entries": cf.memo}
+    assert path.read_text() == json.dumps(want)
+
+
+def test_save_cache_removes_its_temporary_file_when_the_replace_fails(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    cf = Certifier()
+    cf.certify(L(7, 0, 8, 3))
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="No space left"):
+        cf.save_cache(str(tmp_path / "cache.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_load_cache_keeps_file_order_and_the_memo(tmp_path):
