@@ -26,6 +26,11 @@ and the classifier's certificate.
 The irreducibility digest was recorded before the Cremona reduction lost
 its step cap and its state strings: it pins every class's verdict, pivot
 sequence, failure reasons and blocking class.
+The box-A certifier digest was recorded before subsystems answered by a
+base case or an empty boundary system stopped being memo nodes: it pins the
+(outcome, dim) of every cell of m = 4..7, d and n <= 16, even m0 <= d,
+through one shared Certifier, whose split search re-reads the same
+subsystems many times.
 On a mismatch the message names the box and prints the histogram of one
 column (the status, where there is one).
 """
@@ -63,6 +68,18 @@ def certifier_rows():
     for cell in _box(range(1, 4)):
         cert = cf.certify(L(*cell))
         rows.append([*cell, cert.outcome, cert.dim])
+    return rows
+
+
+def certifier_box_a_rows():
+    cf = Certifier()
+    rows = []
+    for d in range(17):
+        for m0 in range(0, d + 1, 2):
+            for n in range(17):
+                for m in range(4, 8):
+                    cert = cf.certify(L(d, m0, n, m))
+                    rows.append([d, m0, n, m, cert.outcome, cert.dim])
     return rows
 
 
@@ -153,6 +170,12 @@ GOLDEN = [
         "certifier d<=20 m<=3",
         certifier_rows,
         "31669f44ae67fe894c22298d2853f2fcaa4992867f855960376dba6882772134",
+        _histogram_of(4),
+    ),
+    (
+        "certifier box A m=4..7 d,n<=16",
+        certifier_box_a_rows,
+        "15f1d230f4eb37d56c0b443d4853b99c7b1b8086a74e61e99f31f8a775a1751a",
         _histogram_of(4),
     ),
     (
