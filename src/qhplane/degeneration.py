@@ -22,23 +22,31 @@ keeps d with nb < n points.
 For m = 2 and 3 the splits tried first have k = m (see _candidate_splits):
 their F-side subsystems are closed forms of the large-m0 theory, so the
 recursion goes on down the P side only.  The m = 2 boundary system
-L(d, 0, floor(d(d+3)/6), 2) takes 1,973 nodes at d = 300; the list tried
+L(d, 0, floor(d(d+3)/6), 2) takes 395 nodes at d = 300; the list tried
 after those splits takes about d^3 / 40 on its own (3,047 at d = 50, past
 the default budget from d = 170).  That list still follows in full at every
 node, so no system it proves can be lost.
 
-The recursion runs on plain (d, m0, n, m) tuples: each memo miss goes
-through `Certifier.certify` with its tuple, and below the top nothing builds
-a system object, a DimensionResult or a base-case certificate.  Each level
-takes two Python frames, so a chain deeper than about half of Python's
-recursion limit raises RecursionError.  Its soundness checks (the split
-identities and semicontinuity) raise SoundnessError, so they also run under
-`python -O`.
+The recursion runs on plain (d, m0, n, m) tuples, and spends a node only
+on a system it must prove by a split or by fewer points.  A subsystem's
+dim (a split's four, and the boundary system's) is read in a fixed order:
+the memo; the dims a rule answered; classifier.base_case_dim; and, for a
+subsystem with v <= -1 and nb < n, its boundary system, read the same way,
+which empties it when proved empty.  Only when all of them fail does it go
+through `Certifier.certify`, which makes it a node: one memo entry and one
+count against the budget.  A rule's answer costs O(1) to derive again, so
+it is kept in a per-Certifier dict that is never saved.  Below the top
+nothing builds a system object, a DimensionResult or a base-case
+certificate.  Each level takes two Python frames, so a chain deeper than
+about half of Python's recursion limit raises RecursionError.  Its
+soundness checks (the split identities and semicontinuity) raise
+SoundnessError, so they also run under `python -O`.
 
-The memo can persist in a JSON cache file (`certify --cache`).  A load
-parses the file and adds its entries to the memo unchecked; each is checked
-when the recursion first reads it, so a run pays for the entries it reads,
-not for the whole file, and check_cache (`qhplane check`) checks them all.
+The memo can persist in a JSON cache file (`certify --cache`), which holds
+the nodes and none of the dims a rule answered.  A load parses the file and
+adds its entries to the memo unchecked; each is checked when the recursion
+first reads it, so a run pays for the entries it reads, not for the whole
+file, and check_cache (`qhplane check`) checks them all.
 A save of a memo loaded from a file laid out as save_cache writes it
 encodes only the entries added since and splices them into the loaded
 text, which gives the same bytes as encoding the whole memo.
@@ -195,12 +203,17 @@ def _summary(system: tuple, dim: int, v: int) -> dict:
 class Certifier:
     """Memoized recursive certifier.
 
-    budget (at least 1) bounds the number of systems examined across one
-    Certifier's lifetime.  The memo is a cache file's entries object: it
-    maps the key "d,m0,n,m" (core.canonical_key) of each system examined or
-    loaded to its proved dim, or to None when that is unknown.  It persists
-    across calls, only grows, and can be saved to / loaded from a JSON cache
-    file."""
+    A node is a system that certify examines on a memo miss: the target of
+    a call, or a subsystem that no rule answers (see _build).  budget (at
+    least 1) bounds the nodes across one Certifier's lifetime.  The memo is
+    a cache file's entries object: it maps the key "d,m0,n,m"
+    (core.canonical_key) of each node, or of each system loaded from a
+    file, to its proved dim, or to None when that is unknown.  So besides
+    the targets it holds only systems proved by a split or by fewer points;
+    a base case, or a subsystem emptied by its empty boundary system, is
+    kept only in the unsaved dict of dims that a rule answered.  The memo
+    persists across calls, only grows, and can be saved to / loaded from a
+    JSON cache file."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET):
         if budget < 1:
@@ -208,6 +221,8 @@ class Certifier:
         self.budget = budget
         self.nodes = 0
         self.memo: dict[str, Optional[int]] = {}
+        #: the dims of systems a rule answered, by key; never saved
+        self._ruled: dict[str, int] = {}
         #: loaded keys not yet checked, each with the file it came from
         self._unchecked: dict[str, str] = {}
         #: the text of the cache file that filled the memo, and its entry count
@@ -287,8 +302,9 @@ class Certifier:
         """A new certificate naming L, a system or the tuple (d, m0, n, m)
         of one, as the recursion passes its subsystems; a tuple is not
         checked, and the certificate names it as given.  Only a memo miss
-        counts a node: on a hit, examined before or loaded from a file, the
-        tree is rebuilt from the memoized dims of L's subsystems.  With
+        counts a node, even when a rule answers L: on a hit, examined before
+        or loaded from a file, the tree is rebuilt from the dims of L's
+        subsystems, read as the recursion reads them.  With
         tree=False the outcome and dim are the same, but no tree is built:
         the certificate's tree is {}."""
         system = L if type(L) is tuple else L.as_tuple()
@@ -304,18 +320,38 @@ class Certifier:
         self.memo[key] = cert.dim
         return cert
 
+    def _known(self, key: str, system: tuple) -> object:
+        """The dim of L(*system), whose memo key is key, from the first three
+        lookup steps, or _MISS when all of them fail: the memo (a loaded
+        entry is checked on its first read), the dims a rule answered, and
+        classifier.base_case_dim, whose answer joins those.  It never
+        certifies, so it adds no frame to the recursion."""
+        dim = self.memo.get(key, _MISS)
+        if dim is _MISS:
+            dim = self._ruled.get(key, _MISS)
+            if dim is _MISS:
+                dim = classifier.base_case_dim(*system)
+                if dim is None:
+                    return _MISS
+                self._ruled[key] = dim
+        elif self._unchecked and key in self._unchecked:
+            self._check(key)
+        return dim
+
     def _build(self, system: tuple, tree: bool) -> Certificate:
         """The certificate of L(*system) from a base case, an empty boundary
-        system, or the first split whose limit dim is e, certifying the
-        subsystems the memo lacks.  Only with tree set does it build the
-        tree: the base case's certificate, the boundary's summary, the
-        proving split with its subsystem summaries, or the splits tried.
+        system, or the first split whose limit dim is e.  Only with tree set
+        does it build the tree: the base case's certificate, the boundary's
+        summary, the proving split with its subsystem summaries, or the
+        splits tried.
 
-        A subsystem's dim is read from the memo; a miss is certified through
-        certify, which counts the node, with no tree.  That lookup is written
-        out at both places rather than in a helper, so each level of the
-        recursion costs two Python frames: certify and _build."""
-        memo, unchecked = self.memo, self._unchecked
+        The boundary system and each split's subsystems are read through the
+        same lookup: _known, then, for a subsystem with v <= -1, its empty
+        boundary system, and only when that fails too, certify, which
+        counts the node, with no tree.  The boundary lookup is written out
+        at both places rather than in a helper that calls certify, so each
+        level of the recursion costs two Python frames: certify and _build."""
+        known = self._known
         d, m0, n, m = system
         v = lattice_virtual_dim(d, m0, n, m)
         e = max(-1, v)
@@ -323,36 +359,37 @@ class Certifier:
         dim = classifier.base_case_dim(d, m0, n, m, via)
         if dim is not None:
             return Certificate(system, _outcome(dim, e), dim, via if tree else {})
-        if v <= -1:
-            # Fewer points: L lies in L(d, m0, nb, m) for every nb <= n, so an
-            # empty boundary system (the fewest points with v <= -1) empties L.
-            nb = n - (-1 - v) // (m * (m + 1) // 2)
-            bound = (d, m0, nb, m)
-            dim = None
-            if nb < n:
-                key = _KEY % canonical_key(*bound)
-                dim = memo.get(key, _MISS)
-                if dim is _MISS:
-                    dim = self.certify(bound, tree=False).dim
-                elif unchecked and key in unchecked:
-                    self._check(key)
+        bound = _boundary(d, m0, n, m, v)
+        if bound is not None:
+            # Fewer points: L lies in its boundary system, so that one being
+            # empty empties L.
+            key = _KEY % canonical_key(*bound)
+            dim = known(key, bound)
+            if dim is _MISS:
+                dim = self.certify(bound, tree=False).dim
             if dim == -1:
                 via = {}
                 if tree:
                     summary = _summary(bound, -1, lattice_virtual_dim(*bound))
-                    via = {"fewer_points": nb, "subsystems": [summary]}
+                    via = {"fewer_points": bound[2], "subsystems": [summary]}
                 return Certificate(system, _outcome(-1, e), -1, via)
         attempts = []
         for k, b in _candidate_splits(d, m0, n, m, v):
             subs, vs = _split_tuples(d, m0, n, m, k, b, v)
             dims = []
-            for sub in subs:
+            for sub, sub_v in zip(subs, vs):
                 key = _KEY % canonical_key(*sub)
-                dim = memo.get(key, _MISS)
+                dim = known(key, sub)
                 if dim is _MISS:
-                    dim = self.certify(sub, tree=False).dim
-                elif unchecked and key in unchecked:
-                    self._check(key)
+                    bound = _boundary(*sub, sub_v)
+                    if bound is not None:
+                        bound_dim = known(_KEY % canonical_key(*bound), bound)
+                        if bound_dim is _MISS:
+                            bound_dim = self.certify(bound, tree=False).dim
+                        if bound_dim == -1:
+                            dim = self._ruled[key] = -1
+                    if dim is _MISS:
+                        dim = self.certify(sub, tree=False).dim
                 if dim is None:
                     break
                 dims.append(dim)
@@ -377,6 +414,18 @@ class Certifier:
             if tree:
                 attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
         return Certificate(system, _outcome(None, e), None, {"attempts": attempts} if tree else {})
+
+
+def _boundary(d: int, m0: int, n: int, m: int, v: int) -> Optional[tuple]:
+    """The boundary system of L(d, m0, n, m), whose virtual dimension is v:
+    L(d, m0, nb, m) with nb the fewest points for which v <= -1, when
+    v <= -1 and nb < n; else None.  L lies in it (adding a general point
+    only cuts a system down)."""
+    if v <= -1:
+        nb = n - (-1 - v) // (m * (m + 1) // 2)
+        if nb < n:
+            return (d, m0, nb, m)
+    return None
 
 
 def _candidate_splits(d: int, m0: int, n: int, m: int, v: int) -> Iterator[tuple[int, int]]:

@@ -359,14 +359,14 @@ def test_bulk_check_on_single_entries():
     ],
 )
 def test_tampered_entry_after_the_full_ladder_is_named(tmp_path, key, dim):
-    # perfbench's 62-call ladder leaves 1,448 entries (2,212 before the
-    # k = m splits went first); one bad entry after all of them is still
-    # found and named
+    # perfbench's 62-call ladder leaves 384 entries (2,212 before the k = m
+    # splits went first, and 1,448 while the subsystems a rule answers were
+    # saved too); one bad entry after all of them is still found and named
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 1448 and key not in data["entries"]
+    assert len(data["entries"]) == 384 and key not in data["entries"]
     data["entries"][key] = dim
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -393,8 +393,10 @@ def test_a_bad_entry_is_named_where_the_recursion_reads_it(tmp_path):
 
 
 def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
-    # The 62-call ladder loads 61 files holding 54,011 entries in all; it
-    # checks the 1,056 it reads, and writes the bytes json.dumps gives
+    # The 62-call ladder loads 61 files; it checks the 419 entries it reads,
+    # and writes the bytes json.dumps gives.  While the subsystems a rule
+    # answers were saved too, the files held 54,011 entries in all, of which
+    # it checked 1,056, and the last was 25,364 bytes (sha256 7f95c501...).
     checked = []
     check_entry = degeneration._check_entry
 
@@ -405,12 +407,12 @@ def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(degeneration, "_check_entry", count)
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
-    assert len(checked) == 1056
+    assert len(checked) == 419
     with open(path, "rb") as fh:
         text = fh.read()
-    assert len(text) == 25364 and text == json.dumps(json.loads(text)).encode()
+    assert len(text) == 6739 and text == json.dumps(json.loads(text)).encode()
     assert hashlib.sha256(text).hexdigest() == (
-        "7f95c5012eab9398588266bf9219a69912b2918db6d36a23ae12330f228cbe8c"
+        "9f3d9f938136a14cd71497ba2a8f4a7d329fe3176f3b3dec41a2621c31a4f808"
     )
 
 
@@ -509,10 +511,11 @@ def test_cache_hit_rederives_its_dim(tmp_path):
 
 def test_budget_exceeded():
     cf = Certifier(budget=3)
-    # the fourth system examined: L(12,0,13,3) first splits (3, 5), whose LP
-    # L(9,0,8,3) splits (3, 4), whose LP L(6,0,4,3) splits (3, 2), whose LP
-    # is L(3,0,2,3)
-    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(3,0,2,3\)$"):
+    # the fourth node: L(12,0,13,3) first splits (3, 5), whose LP L(9,0,8,3)
+    # splits (3, 4); that split's LP L(6,0,4,3) is the third, and its hatLP
+    # L(5,0,4,3) the fourth.  L(3,0,2,3), the LP of L(6,0,4,3)'s first split
+    # and the fourth node while base cases were nodes, is a base case.
+    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(5,0,4,3\)$"):
         cf.certify(L(12, 0, 13, 3))
 
 
@@ -555,28 +558,119 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
 @pytest.mark.parametrize(
     "system, nodes",
     [
-        ((30, 0, 83, 3), 246),
-        ((30, 0, 84, 3), 247),
-        ((30, 0, 150, 2), 272),
-        ((50, 0, 309, 3), 506),
-        ((120, 0, 1600, 3), 1837),
+        ((30, 0, 83, 3), 41),
+        ((30, 0, 84, 3), 42),
+        ((30, 0, 150, 2), 110),
+        ((50, 0, 309, 3), 99),
+        ((120, 0, 1600, 3), 508),
     ],
+    # each id keeps the count pinned while every subsystem a rule answers
+    # was a node too, so each case keeps its name
+    ids=["system0-246", "system1-247", "system2-272", "system3-506", "system4-1837"],
 )
 def test_node_counts_are_pinned(system, nodes):
     cf = Certifier()
     cert = cf.certify(L(*system))
     assert cf.nodes == nodes
-    # the same system again, then each of its subsystems: no new node, and
-    # the same certificate and summaries
+    # the same system again: no new node, and the same certificate
     assert cf.certify(L(*system)) == cert
-    for sub in cert.tree["subsystems"]:
+    assert cf.nodes == nodes
+    # then each of its subsystems, with the same summary: a memo key costs no
+    # node, and one that a rule answered costs one, as a target of its own
+    subs = cert.tree["subsystems"]
+    keys = [degeneration._KEY % canonical_key(*sub["system"]) for sub in subs]
+    ruled = [key for key in keys if key not in cf.memo]
+    assert all(key in cf._ruled for key in ruled)
+    for sub in subs:
         got = cf.certify(L(*sub["system"]))
         assert (got.system, got.outcome, got.dim) == (sub["system"], sub["outcome"], sub["dim"])
-    assert cf.nodes == nodes
+    assert cf.nodes == nodes + len(set(ruled))
     # certify takes the tuple as it takes the system, as the recursion does
     by_tuple = Certifier()
     assert by_tuple.certify(system) == cert
     assert by_tuple.nodes == nodes
+
+
+def test_memo_holds_only_the_systems_the_recursion_proved():
+    # Besides the target, no memo key is a base case or a system with
+    # v <= -1 whose boundary system is proved empty: a rule answers those,
+    # and its answers stay out of the memo, so every other key cost a node.
+    cf = Certifier()
+    cf.certify(L(30, 0, 82, 3))
+    target = "30,0,82,3"
+    assert target in cf.memo and len(cf.memo) == cf.nodes
+    assert cf._ruled and not cf._ruled.keys() & cf.memo.keys()
+    for key in cf.memo.keys() - {target}:
+        d, m0, n, m = map(int, key.split(","))
+        assert classifier.base_case_dim(d, m0, n, m) is None, key
+        bound = degeneration._boundary(d, m0, n, m, lattice_virtual_dim(d, m0, n, m))
+        if bound is not None:
+            bound_key = degeneration._KEY % canonical_key(*bound)
+            assert cf.memo.get(bound_key, cf._ruled.get(bound_key)) != -1, key
+
+
+# The cache file that `qhplane certify 12 0 13 3 --cache` wrote while every
+# subsystem a rule answers was a node too: 38 entries, of which 31 are base
+# cases and "5,0,5,3" has the empty boundary system L(5,0,4,3).
+_RULED_ENTRIES_CACHE = (
+    '{"version": 3, "entries": {"3,0,2,3": 0, "6,3,2,3": 9, "2,0,2,3": -1, '
+    '"6,4,2,3": 5, "3,3,0,0": 3, "6,3,3,3": 3, "2,3,0,0": -1, "6,4,3,3": -1, '
+    '"6,0,4,3": 3, "9,6,4,3": 9, "5,2,2,3": 5, "1,0,2,3": -1, "5,3,2,3": 2, '
+    '"2,0,3,3": -1, "5,3,1,2": 11, "1,0,3,3": -1, "5,3,1,3": 8, "5,2,3,3": -1, '
+    '"1,3,0,0": -1, "5,3,3,3": -1, "5,0,4,3": -1, "9,7,4,3": 2, "9,0,8,3": 6, '
+    '"12,9,5,3": 15, "5,0,5,3": -1, "8,5,3,3": 11, "4,0,5,3": -1, "8,6,3,3": 5, '
+    '"8,5,4,3": 5, "4,0,4,3": -1, "8,6,4,3": 0, "5,0,3,3": 2, "8,5,5,3": -1, '
+    '"4,0,3,3": -1, "8,6,5,3": -1, "8,0,8,3": -1, "12,10,5,3": 5, "12,0,13,3": 12}}'
+)
+
+
+def test_a_cache_holding_rule_answered_entries_still_loads(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    path.write_text(_RULED_ENTRIES_CACHE)
+    entries = json.loads(_RULED_ENTRIES_CACHE)["entries"]
+    systems = [tuple(map(int, key.split(","))) for key in entries]
+    base_cases = [t for t in systems if classifier.base_case_dim(*t) is not None]
+    assert len(entries) == 38 and len(base_cases) == 31
+    # today's memo for the same target is a part of that file, with its dims
+    fresh = Certifier()
+    fresh.certify(L(12, 0, 13, 3))
+    assert fresh.memo.items() <= entries.items() and len(fresh.memo) == 6
+    checked = []
+    check_entry = degeneration._check_entry
+    monkeypatch.setattr(
+        degeneration, "_check_entry", lambda key, dim: (checked.append(key), check_entry(key, dim))
+    )
+    loaded = Certifier()
+    assert loaded.load_cache(str(path)) == 38
+    assert not checked
+    # every system of the file answers as a fresh run does, from the file
+    # alone, and each entry is checked once, on its first read
+    for system in systems:
+        assert loaded.certify(system).to_dict() == Certifier().certify(system).to_dict()
+    assert loaded.nodes == 0 and sorted(checked) == sorted(entries)
+    # a tampered entry of a base case is named where the recursion reads it:
+    # "12,9,5,3" is the LF of the split that proves the target
+    path.write_text(_RULED_ENTRIES_CACHE.replace('"12,9,5,3": 15', '"12,9,5,3": -2'))
+    tampered = Certifier()
+    tampered.load_cache(str(path))
+    with pytest.raises(ValueError) as exc:
+        tampered.certify(L(12, 0, 13, 3))
+    assert str(exc.value).startswith(f"{path}: untrusted cache entry '12,9,5,3': ")
+
+
+@pytest.mark.parametrize(
+    "n, outcome, dim, nodes",
+    [(83583, Status.NON_SPECIAL_PROVED, 2, 28546), (83584, Status.EMPTY_PROVED, -1, 28764)],
+    ids=["non-special", "empty"],
+)
+def test_m3_boundary_systems_at_d_1000_certify_within_the_default_budget(n, outcome, dim, nodes):
+    # L(1000, 0, floor(1000 * 1003 / 12), 3) and the next: their chains stay
+    # within Python's recursion limit since a subsystem emptied by its
+    # boundary system no longer takes a level of its own
+    cf = Certifier()
+    cert = cf.certify(L(1000, 0, n, 3), tree=False)
+    assert (cert.outcome, cert.dim) == (outcome, dim)
+    assert cf.nodes == nodes < degeneration.DEFAULT_BUDGET
 
 
 def test_treeless_certify_matches_the_full_certificate():
@@ -674,12 +768,19 @@ def test_candidates_contain_the_list_before_the_k_m_splits(monkeypatch):
                     )
 
 
-@pytest.mark.parametrize("d, nodes", [(50, 305), (100, 633), (200, 1305), (300, 1973)])
+@pytest.mark.parametrize(
+    "d, nodes",
+    [(50, 62), (100, 128), (200, 262), (300, 395)],
+    # each id keeps the count pinned while every subsystem a rule answers
+    # was a node too, so each case keeps its name
+    ids=["50-305", "100-633", "200-1305", "300-1973"],
+)
 def test_m2_boundary_nodes_are_pinned(d, nodes):
     # L(d, 0, floor(d(d+3)/6), 2), the last homogeneous m = 2 system with
     # v >= 0: its chain of k = 2 splits grows linearly in d (3,047 nodes at
     # d = 50 and 23,375 at d = 100 before those splits went first; d = 200
-    # and 300 exhausted the default budget)
+    # and 300 exhausted the default budget; 305, 633, 1,305 and 1,973 nodes
+    # while the subsystems a rule answers were nodes too)
     n = d * (d + 3) // 6
     cf = Certifier()
     cert = cf.certify(L(d, 0, n, 2), tree=False)
@@ -771,14 +872,18 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     # files has the same dim in both.  Re-recorded when the k = m splits
     # began to go first: 763 entries (sha256 fa2cb388...) became 615, and
     # each of the 350 keys in both files has the same dim in both.
+    # Re-recorded when the subsystems a rule answers stopped being saved:
+    # 615 entries (sha256 21adc098...) became 131, each with the same dim
+    # and in the same order as in the 615; the 484 dropped are 280 base
+    # cases and 204 systems whose boundary system is empty.
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 615
+    assert len(data["entries"]) == 131
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "21adc0984af4969092bb44a27e413efdc5da644e16bcdaf8c4f6f46b851633b5"
+        "3f31e8310c09f0797ea2cc7ede9ab21d7237c4aa8da50ec184cd5a0c314ef3ee"
     )
 
 
