@@ -404,8 +404,9 @@ def test_closed_pipe_exits_1_without_traceback():
 
 
 def test_certify_too_deep_exits_1_without_traceback():
-    # the m = 2 chain of L(1000,0,167166,2) has about 2d/3 = 667 levels of
-    # two frames each, past CPython's default recursion limit of 1000
+    # the m = 2 chain of L(1000,0,167166,2) has about d/2 = 500 levels of
+    # two frames each, which with the CLI's own frames pass CPython's
+    # default recursion limit of 1000
     proc = _run_module("certify", "1000", "0", "167166", "2")
     assert proc.returncode == 1
     assert proc.stdout == ""
