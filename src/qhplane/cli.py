@@ -22,10 +22,13 @@ import io
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import classifier, degeneration, minus_one, oracle, tables
+from . import classifier, degeneration, minus_one, tables
 from .core import MAX_INPUT, L, invariants
+
+if TYPE_CHECKING:
+    from .oracle import OracleConfig
 
 JSON_SCHEMA_VERSION = 1
 
@@ -164,8 +167,18 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _oracle_fields(args) -> dict:
+    """The --prime, --trials and --seed given, as oracle.OracleConfig
+    fields; the dataclass's defaults fill the rest.  Only the oracle's
+    subcommands import the oracle, and with it numpy."""
+    fields = ("prime", "trials", "seed")
+    return {f: getattr(args, f) for f in fields if getattr(args, f, None) is not None}
+
+
 def cmd_oracle(args) -> int:
-    cfg = oracle.OracleConfig(prime=args.prime, trials=args.trials, seed=args.seed)
+    from . import oracle
+
+    cfg = oracle.OracleConfig(**_oracle_fields(args))
     sys_ = L(args.d, args.m0, args.n, args.m)
     dim, e, special = oracle.measure_speciality(sys_, cfg)
     if args.json:
@@ -217,7 +230,9 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _verify_cell(cfg: oracle.OracleConfig, cell: tuple[int, int, int, int]) -> Optional[dict]:
+def _verify_cell(cfg: OracleConfig, cell: tuple[int, int, int, int]) -> Optional[dict]:
+    from . import oracle
+
     sys_ = L(*cell)
     theory = classifier.dimension(sys_)
     measured = oracle.measure_dim(sys_, cfg).dim
@@ -248,8 +263,10 @@ def cmd_verify(args) -> int:
         for m0 in range(0, d + 1)
         for n in range(0, args.n_max + 1)
     ]
+    from . import oracle
+
     # one config per run: building one checks that its prime is prime
-    cfg = oracle.OracleConfig(trials=args.trials, seed=args.seed)
+    cfg = oracle.OracleConfig(**_oracle_fields(args))
     check = functools.partial(_verify_cell, cfg)
     if args.workers > 1:
         import multiprocessing
@@ -300,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="measure the dimension over a prime field")
     _system_args(p)
-    p.add_argument("--seed", type=int, default=oracle.DEFAULT_CONFIG.seed)
-    p.add_argument("--trials", type=int, default=oracle.DEFAULT_CONFIG.trials)
-    p.add_argument("--prime", type=int, default=oracle.DEFAULT_CONFIG.prime)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--prime", type=int)
     _format_flag(p, csv_too=False)
     p.set_defaults(func=cmd_oracle)
 
@@ -323,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--trials", type=int, default=oracle.DEFAULT_CONFIG.trials)
-    p.add_argument("--seed", type=int, default=oracle.DEFAULT_CONFIG.seed)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     _format_flag(p, csv_too=False)
     p.set_defaults(func=cmd_verify)

@@ -46,7 +46,8 @@ The memo can persist in a JSON cache file (`certify --cache`), which holds
 the nodes and none of the dims a rule answered.  A load parses the file and
 adds its entries to the memo unchecked; each is checked when the recursion
 first reads it, so a run pays for the entries it reads, not for the whole
-file, and check_cache (`qhplane check`) checks them all.
+file, and check_cache (`qhplane check`) gives every entry the same check.
+The module needs no numpy: only the oracle builds a matrix.
 A save of a memo loaded from a file laid out as save_cache writes it
 encodes only the entries added since and splices them into the loaded
 text, which gives the same bytes as encoding the whole memo.
@@ -57,12 +58,9 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat, starmap
 from typing import Iterator, Optional
-
-import numpy as np
 
 from . import classifier
 from .core import (
@@ -89,9 +87,6 @@ MAX_SPLITS_PER_NODE = 400
 _KEY = "%d,%d,%d,%d"
 #: what a memo lookup returns on a miss; a stored None (unknown dim) is a hit
 _MISS = object()
-#: a key as _KEY writes it with every integer below 10^7: no sign, space or
-#: leading zero, so the bulk check's int64 arithmetic cannot overflow
-_KEY_FORM = re.compile(",".join(["(?:0|[1-9][0-9]{0,6})"] * 4)).fullmatch
 #: how json.dumps of a cache file's object begins; its entries follow
 _HEAD = '{"version": %d, "entries": {' % CACHE_VERSION
 
@@ -502,18 +497,17 @@ def check_cache(path: str) -> int:
     """Check every entry of a cache file; returns how many it holds.
 
     Raises ValueError, naming the file, as load_cache does on a malformed
-    file, and on a file of another version, which load_cache ignores.  The
-    entries are checked in one vectorised pass (_entries_ok); only when that
-    finds a bad entry does _check_entry run entry by entry to name the first
-    one, by its key."""
+    file, and on a file of another version, which load_cache ignores.  Each
+    entry gets the check a loaded entry gets on its first read
+    (_check_entry), in file order, so the error names the first bad one by
+    its key."""
     data = _read_cache(path)[1]
     version = data.get("version")
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: cache version {version!r} is not {CACHE_VERSION}")
     entries = data.get("entries", {})
-    if not _entries_ok(entries):
-        for key, dim in entries.items():
-            _check_cached(path, key, dim)
+    for key, dim in entries.items():
+        _check_cached(path, key, dim)
     return len(entries)
 
 
@@ -527,7 +521,7 @@ def _check_cached(path: str, key: str, dim: object) -> None:
 
 def _check_entry(key: str, dim: object) -> None:
     """Check a cache entry key -> dim: the check a loaded entry gets on its
-    first read, the reference for _entries_ok, and what names a bad entry.
+    first read, and the one check_cache gives every entry.
 
     Raises ValueError when the key is not core.canonical_key of a system as
     four plain decimal integers up to MAX_INPUT (checked by formatting the
@@ -550,35 +544,6 @@ def _check_entry(key: str, dim: object) -> None:
         raise ValueError(
             f"dim {dim!r} is not null or an integer from e = {e} to {top}, the dim of L({d},{m0})"
         )
-
-
-def _entries_ok(entries: dict) -> bool:
-    """Whether _check_entry accepts every entry of a cache file's entries
-    object, checked in one pass over all of them.
-
-    Each key must be written as _KEY writes it, be canonical ((n == 0) ==
-    (m == 0), and not n == 1 with m > m0) and stay within MAX_INPUT; each dim
-    must be None or an int from e to the dim of L(d, m0).  The keys' integers
-    are parsed into int64 columns and the bounds come from the one
-    virtual-dimension formula on them.  The dims become float64 with None as
-    NaN: a float64 holds every int below 2^53 in magnitude exactly, and every
-    bound lies below that, so a larger int stays out of its interval."""
-    keys = entries.keys()
-    dims = list(entries.values())
-    if not (all(map(_KEY_FORM, keys)) and set(map(type, dims)) <= {int, type(None)}):
-        return False
-    systems = np.fromstring(",".join(keys), dtype=np.int64, sep=",").reshape(-1, 4)
-    if (systems > MAX_INPUT).any():
-        return False
-    d, m0, n, m = systems.T
-    try:
-        dim = np.array(dims, dtype=np.float64)
-    except OverflowError:  # an int beyond float64's range
-        return False
-    e = np.maximum(-1, lattice_virtual_dim(d, m0, n, m))
-    top = np.maximum(-1, lattice_virtual_dim(d, m0, 0, 0))
-    canonical = ((n == 0) == (m == 0)) & ~((n == 1) & (m > m0))
-    return bool((canonical & (np.isnan(dim) | ((e <= dim) & (dim <= top)))).all())
 
 
 def certify(

@@ -15,6 +15,11 @@ column exclusions, and only the monomials with a + b >= m0, a <= d - m1 and
 b <= d - m2 get a column.  The remaining points are sampled at random in
 the chart z = 1 and give the only rows; with no point left to sample the
 count of kept columns, taken row by row without listing them, is exact.
+Each trial draws its points from the standard library's Random, seeded
+with the string "seed,trial,d,k" (k the number of positive multiplicities),
+x then y per point by randrange(p), so numpy.random is never loaded.  A
+string seed hashes the same on every platform; Python does not promise
+randrange's stream across versions, so a test pins some drawn points.
 
 The result is an upper bound on the dimension over the complex numbers:
 the rank at any particular choice of points, over F_p or over Q, is at most
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from random import Random
 from typing import Optional, Sequence
 
 import numpy as np
@@ -295,9 +301,8 @@ def measure_dim_mults(
     floor = max(-1, cols - 1 - sum(m * (m + 1) // 2 for m in active))
     best = ncols - 1
     for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial, d, len(active)])
-        coords = rng.integers(0, p, size=(len(sampled), 2), dtype=np.int64)
-        points = [(int(x), int(y), m) for (x, y), m in zip(coords, sampled)]
+        rng = Random(f"{cfg.seed},{trial},{d},{len(active)}")
+        points = [(rng.randrange(p), rng.randrange(p), m) for m in sampled]
         matrix = condition_rows(d, points, p, kept)
         best = min(best, len(kept) - rank_mod_p(matrix, p) - 1)
         if best == floor:

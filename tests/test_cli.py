@@ -10,6 +10,7 @@ import pytest
 from qhplane import classifier, degeneration, minus_one
 from qhplane.cli import main
 from qhplane.core import L, Status
+from qhplane.oracle import DEFAULT_CONFIG
 
 
 def run(capsys, *argv):
@@ -139,6 +140,13 @@ def test_oracle_subcommand(capsys):
     code, out = run(capsys, "oracle", "4", "0", "5", "2", "--trials", "2")
     assert code == 0
     assert "dim=0" in out and "special=True" in out
+
+
+def test_oracle_options_default_to_the_config(capsys):
+    argv = ["oracle", "4", "0", "5", "2", "--json"]
+    assert json.loads(run(capsys, *argv)[1])["oracle"] == DEFAULT_CONFIG.as_dict()
+    given = json.loads(run(capsys, *argv, "--seed", "5")[1])["oracle"]
+    assert given == {**DEFAULT_CONFIG.as_dict(), "seed": 5}
 
 
 def test_certify_subcommand(capsys, tmp_path):
@@ -382,6 +390,44 @@ def test_python_dash_m_entry_point():
     proc = _run_module("table", "qh1list")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[:6] == ["d", "m0", "n", "m", "x", "y"]
+
+
+# cli.main on argv[2:] in a fresh interpreter where importing the module
+# argv[1] raises ImportError, in a forked verify worker too
+_REFUSING = """
+import sys
+sys.modules[sys.argv[1]] = None
+from qhplane.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["dim", "20", "0", "10", "3"], "numpy"),
+        (["classify", "4", "0", "5", "2"], "numpy"),  # special: the search runs
+        (["certify", "20", "0", "10", "3"], "numpy"),
+        (["certify", "12", "0", "13", "3", "--cache", "{cache}"], "numpy"),
+        (["check", "{cache}"], "numpy"),
+        (["enumerate", "--m-max", "3"], "numpy"),
+        (["table", "qh1list"], "numpy"),
+        (["oracle", "4", "0", "5", "2"], "numpy.random"),
+        (["verify", "--d-max", "3", "--n-max", "3", "--workers", "1"], "numpy.random"),
+        pytest.param(
+            ["verify", "--d-max", "3", "--n-max", "3", "--workers", "2"], "numpy.random",
+            marks=pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU"),
+        ),
+    ],
+)
+def test_only_the_oracle_loads_numpy(tmp_path, argv, refused):
+    # numpy is for the oracle's matrices, and it samples no numpy.random
+    cache = str(tmp_path / "memo.json")
+    degeneration.certify(L(10, 0, 11, 3), cache_path=cache)
+    call = _module_call(refused, *[arg.format(cache=cache) for arg in argv])
+    call["args"][1:3] = ["-c", _REFUSING]  # in place of -m qhplane
+    proc = subprocess.run(**call, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_budget_exhausted_exits_1_without_traceback():

@@ -327,24 +327,37 @@ def _cache_entries(draw):
     return key, dim
 
 
+def _check_cache_accepts(path, entries):
+    """Whether check_cache accepts a cache file at path holding entries."""
+    path.write_text(json.dumps({"version": degeneration.CACHE_VERSION, "entries": entries}))
+    try:
+        degeneration.check_cache(str(path))
+    except ValueError:
+        return False
+    return True
+
+
 @settings(max_examples=1000)
 @given(st.lists(_cache_entries(), min_size=1, max_size=3))
-def test_bulk_check_accepts_what_the_reference_accepts(pairs):
+def test_check_cache_accepts_what_the_reference_accepts(tmp_path_factory, pairs):
+    # one file, rewritten for each case: hypothesis reuses the fixture
+    path = tmp_path_factory.getbasetemp() / "entries.json"
     entries = dict(pairs)
-    assert degeneration._entries_ok(entries) == _reference_accepts(entries)
+    assert _check_cache_accepts(path, entries) == _reference_accepts(entries)
     for key in entries:
         for dim in _edge_dims(key):
             entry = {key: dim}
-            assert degeneration._entries_ok(entry) == _reference_accepts(entry), (key, dim)
+            assert _check_cache_accepts(path, entry) == _reference_accepts(entry), (key, dim)
 
 
-def test_bulk_check_on_single_entries():
-    assert degeneration._entries_ok({})
+def test_check_cache_on_single_entries(tmp_path):
+    path = tmp_path / "entries.json"
+    assert _check_cache_accepts(path, {})
     for key, dim in _UNTRUSTED:
         if key is not None:
-            assert not degeneration._entries_ok({"7,0,8,3": -1, key: dim}), (key, dim)
+            assert not _check_cache_accepts(path, {"7,0,8,3": -1, key: dim}), (key, dim)
     accepted = {"4,0,5,2": 0, "10,3,0,0": 59, "7,0,8,3": -1, "6,0,9,2": None, "1000000,0,0,0": None}
-    assert degeneration._entries_ok(accepted) and _reference_accepts(accepted)
+    assert _check_cache_accepts(path, accepted) and _reference_accepts(accepted)
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,27 @@ def test_special_cell_builds_every_trial(rank_calls):
     assert len(rank_calls) == cfg.trials
 
 
+def test_sampled_points_are_pinned(monkeypatch):
+    # The points come from random.Random seeded with "seed,trial,d,k", x then
+    # y by randrange(p); a change to that stream must show up here.
+    drawn = []
+    original = oracle.condition_rows
+
+    def spy(d, points, p, monomials=None):
+        drawn.append(points)
+        return original(d, points, p, monomials)
+
+    monkeypatch.setattr(oracle, "condition_rows", spy)
+    # special (dim 0 > e = -1), so no trial reaches the floor and all three run
+    assert measure_dim_mults(4, [2, 2, 0, 2, 2, 2], DEFAULT_CONFIG) == 0
+    assert (DEFAULT_CONFIG.seed, DEFAULT_CONFIG.prime) == (20209, MERSENNE_31)
+    assert drawn == [
+        [(891283888, 638363182, 2), (1149369858, 2023898975, 2)],
+        [(18503461, 1312351360, 2), (1579159082, 1120129638, 2)],
+        [(532902849, 778650347, 2), (1688043387, 602660316, 2)],
+    ]
+
+
 def test_three_points_build_no_matrix(rank_calls):
     for d in range(0, 9):
         for m0, m1, m2 in ((0, 0, 0), (3, 1, 0), (2, 5, 4), (d, d, 1), (d + 1, 0, 2)):
