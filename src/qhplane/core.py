@@ -38,9 +38,9 @@ class Status(str, Enum):
 class SoundnessError(AssertionError):
     """Raised when a soundness check fails: an identity every answer leans
     on (the genus bookkeeping, the split arithmetic, the fixed-part
-    accounting), the special table's consistency, or semicontinuity.  Never
-    expected; it means a bug, or input dimensions (a cache entry, say) that
-    are false.  An exception, not an assert, so it also runs under -O."""
+    accounting), or semicontinuity.  Never expected; it means a bug, or
+    input dimensions (a cache entry, say) that are false.  An exception,
+    not an assert, so it also runs under -O."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ subsystem dimensions and bounds the generic dimension from above by
 semicontinuity.  Whenever l0 equals the expected dimension, the system is
 proved non-special (empty if v <= -1).  The certifier recurses on the
 subsystems, with the classifier's proved base cases (few points, the
-(-1)-special table, the closed forms of the large-m0 theory) as leaves,
+closed forms of the large-m0 theory, two sporadic special systems) as leaves,
 and memoizes proved dims by canonical key.  Outcomes use core.Status.
 
 Adding a general point only cuts a system down, so L(d, m0, n, m) lies in
@@ -369,7 +369,7 @@ class Certifier:
                     via = {"fewer_points": bound[2], "subsystems": [summary]}
                 return Certificate(system, _outcome(-1, e), -1, via)
         attempts = []
-        for k, b in _candidate_splits(d, m0, n, m, v):
+        for k, b in _candidate_splits(d, n, m, v):
             subs, vs = _split_tuples(d, m0, n, m, k, b, v)
             dims = []
             for sub, sub_v in zip(subs, vs):
@@ -423,10 +423,11 @@ def _boundary(d: int, m0: int, n: int, m: int, v: int) -> Optional[tuple]:
     return None
 
 
-def _candidate_splits(d: int, m0: int, n: int, m: int, v: int) -> Iterator[tuple[int, int]]:
+def _candidate_splits(d: int, n: int, m: int, v: int) -> Iterator[tuple[int, int]]:
     """Paper-guided (k, b) choices first, then the first MAX_SPLITS_PER_NODE
     pairs of the balanced exhaustive ranking, each pair once; v is the
-    virtual dimension of L(d, m0, n, m).
+    virtual dimension of the system L(d, m0, n, m) being split, read only
+    through its sign (v <= -1), so m0 is not needed.
 
     For m = 2 and 3 the first choices have k = m.  Their F-side subsystems
     L(d, d-k, b, m) and L(d, d-k+1, b, m) have m0 >= d - m - 1, so they are
@@ -451,7 +452,7 @@ def _candidate_splits(d: int, m0: int, n: int, m: int, v: int) -> Iterator[tuple
                 if d % 4 == 0 and 2 * b == d:
                     continue
                 prescriptions.append((2, b))
-        prescriptions += [(3, h), (3, h + 1)]
+        prescriptions.append((3, h + 1))
     seen = set()
     for k, b in chain(prescriptions, islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE)):
         if 0 < k < d and 0 < b < n and (k, b) not in seen:

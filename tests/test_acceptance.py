@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from qhplane.classifier import SPECIAL_TABLE, dimension, lookup_special_table
+from qhplane.classifier import dimension, lookup_special_table
 from qhplane.core import L, Status, canonical_key, expected_dim, invariants, virtual_dim
 from qhplane.cremona import dim_large_m0, quadratic_transform
 from qhplane.degeneration import Certifier, DegenerationParams, split
@@ -19,6 +19,7 @@ from qhplane.minus_one import (
     homogeneous_form,
 )
 from qhplane.oracle import OracleConfig, measure_dim, measure_dim_mults
+from special_laws import laws
 
 _ORACLE_CACHE: dict = {}
 
@@ -199,33 +200,6 @@ def _table_instances(d_max: int, n_max: int):
 
 def test_criterion_4_special_table_golden():
     t0 = time.time()
-    # independent transcription of the eleven (v, l) laws
-    def laws(d, m0, n, m):
-        out = []
-        if (d, m0, n, m) == (4, 0, 5, 2):
-            out.append((-1, 0))
-        if m == 2 and d % 2 == 0 and d >= 2 and m0 == d - 2 and n == d:
-            out.append((-1, 0))
-        if m == 2 and m0 == d and d >= 2 * n >= 2:
-            out.append((d - 3 * n, d - 2 * n))
-        if (d, m0, n, m) == (4, 0, 2, 3):
-            out.append((2, 3))
-        if (d, m0, n, m) == (6, 0, 5, 3):
-            out.append((-3, 0))
-        if (d, m0, n, m) == (6, 2, 4, 3):
-            out.append((0, 1))
-        if m == 3 and d % 3 == 0 and d >= 3 and m0 == d - 3 and 3 * n == 2 * d:
-            out.append((-3, 0))
-        if m == 3 and d % 3 == 1 and d >= 4 and m0 == d - 3 and 3 * n == 2 * (d - 1):
-            out.append((1, 2))
-        if m == 3 and d % 4 == 0 and d >= 4 and m0 == d - 2 and 2 * n == d:
-            out.append((-1, 0))
-        if m == 3 and m0 == d - 1 and 2 * d >= 5 * n >= 5:
-            out.append((2 * d - 6 * n, 2 * d - 5 * n))
-        if m == 3 and m0 == d and d >= 3 * n >= 3:
-            out.append((d - 6 * n, d - 3 * n))
-        return out
-
     count = 0
     for sys_, match in _table_instances(20, 20):
         expect = set(laws(*sys_.as_tuple()))
@@ -263,11 +237,7 @@ def test_criterion_5_theorem_desk_scale():
                         mismatches.append((sys_.as_tuple(), res.dim, got))
                         continue
                     special = res.dim > expected_dim(sys_)
-                    in_table = (
-                        sys_.m in (2, 3)
-                        and lookup_special_table(sys_, with_decomposition=False)
-                        is not None
-                    )
+                    in_table = bool(laws(*sys_.as_tuple()))
                     if special != in_table:
                         mismatches.append((sys_.as_tuple(), "speciality", in_table))
     elapsed = time.time() - t0

@@ -1,33 +1,24 @@
 import pytest
 
 from qhplane import classifier
-from qhplane.classifier import (
-    SPECIAL_TABLE,
-    SpecialTableEntry,
-    dimension,
-    is_special,
-    lookup_special_table,
-)
-from qhplane.core import L, SoundnessError, Status, expected_dim, virtual_dim
+from qhplane.classifier import dimension, is_special, lookup_special_table
+from qhplane.core import L, Status, expected_dim, virtual_dim
 from qhplane.cremona import dim_large_m0
 from qhplane.oracle import measure_dim
+from special_laws import laws
 
 
 def _instantiate_table(limit: int):
-    """All concrete systems matched by some table family with d <= limit."""
+    """All concrete systems that some table law matches with d <= limit,
+    each with its (v, l) list."""
     out = []
     for d in range(0, limit + 1):
         for m in (2, 3):
             for m0 in range(0, d + 1):
                 for n in range(1, limit + 1):
-                    sys_ = L(d, m0, n, m)
-                    hits = [
-                        (e.name, got)
-                        for e in SPECIAL_TABLE
-                        if (got := e.match(d, m0, n, m)) is not None
-                    ]
+                    hits = laws(d, m0, n, m)
                     if hits:
-                        out.append((sys_, hits))
+                        out.append((L(d, m0, n, m), hits))
     return out
 
 
@@ -44,8 +35,7 @@ def test_lookup_examples():
 def test_table_matcher_completeness():
     # re-derive each family membership independently and compare
     for sys_, hits in _instantiate_table(30):
-        d, m0, n, m = sys_.as_tuple()
-        values = {got for _, got in hits}
+        values = set(hits)
         assert len(values) == 1, (sys_, hits)
         v, l = values.pop()
         assert v == virtual_dim(sys_)
@@ -67,7 +57,7 @@ def test_fixed_rows_found():
 
 def test_table_entries_oracle_check():
     for sys_, hits in _instantiate_table(9):
-        l = hits[0][1][1]
+        l = hits[0][1]
         assert measure_dim(sys_).dim == l, sys_
 
 
@@ -113,20 +103,42 @@ def test_special_iff_decomposition_m_le_3():
         for m in (2, 3):
             for m0 in range(0, d + 1):
                 for n in range(3, 11):
-                    sys_ = L(d, m0, n, m)
-                    table = lookup_special_table(sys_, with_decomposition=False)
-                    decomp = find_special_decomposition(sys_)
-                    assert (table is not None) == (decomp is not None), sys_
+                    decomp = find_special_decomposition(L(d, m0, n, m))
+                    assert bool(laws(d, m0, n, m)) == (decomp is not None), (d, m0, n, m)
 
 
 def test_section6_path_agrees_with_theorem_path():
-    # for m in {2,3} and m0 >= d-m-1, the closed forms and the table agree
-    for d in range(1, 15):
+    # for m in {2,3} and m0 >= d-m-1, the closed forms (few points for
+    # n <= 2) give the table's l on its members and e on every other system
+    for d in range(1, 61):
         for m in (2, 3):
             for m0 in range(max(0, d - m - 1), d + 1):
-                for n in range(3, 12):
+                for n in range(1, 61):
                     sys_ = L(d, m0, n, m)
-                    assert dim_large_m0(sys_).dim == dimension(sys_).dim, sys_
+                    want = [l for _, l in laws(d, m0, n, m)] or [expected_dim(sys_)]
+                    assert [dim_large_m0(sys_).dim] == want, sys_
+
+
+def test_lookup_matches_the_laws():
+    # a system is matched exactly when some law holds, with its (v, l), on
+    # the 1,032 members of this box; the two members outside the few-point
+    # and large-m0 strata answer dim 0
+    members = 0
+    for d in range(0, 41):
+        for m0 in range(0, d + 3):
+            for n in range(0, 41):
+                for m in range(0, 4):
+                    sys_ = L(d, m0, n, m)
+                    got = lookup_special_table(sys_, with_decomposition=False)
+                    want = laws(*sys_.as_tuple())
+                    assert ([(got.v, got.l)] if got else []) == want, (d, m0, n, m)
+                    members += bool(want)
+    assert members == 1032
+    for tup in classifier.SPORADIC:
+        res = dimension(L(*tup))
+        assert (res.dim, res.status) == (0, Status.SPECIAL_PROVED), tup
+        assert res.certificate == {"base": "sporadic"}
+        assert measure_dim(L(*tup)).dim == 0, tup
 
 
 def test_table_overlap_with_d_eq_m0():
@@ -144,46 +156,6 @@ def test_is_special():
     assert special and res.dim == 0
     special, res = is_special(L(5, 0, 4, 2))
     assert not special
-
-
-@pytest.mark.parametrize(
-    "claims, message",
-    [
-        ([(-1, 0), (-1, 1)], "families disagree"),
-        ([(0, 0)], "v mismatch"),
-        ([(-1, -1)], "not special"),
-    ],
-    ids=["disagree", "v", "not-special"],
-)
-def test_table_checks_raise_soundness_error(monkeypatch, claims, message):
-    # forged families matching L(4,0,5,2) (v = -1, e = -1) with these (v, l),
-    # under its key (m, d - m0) = (2, 4)
-    table = [
-        SpecialTableEntry(f"forged{i}", (2, 4), lambda d, m0, n, m, got=got: got)
-        for i, got in enumerate(claims)
-    ]
-    monkeypatch.setattr(classifier, "TABLE_INDEX", {(2, 4): table})
-    with pytest.raises(SoundnessError, match=message):
-        lookup_special_table(L(4, 0, 5, 2))
-
-
-def test_table_index_loses_no_family():
-    # every (d, m0, n, m) with d, n <= 40, m <= 4 and m0 <= d + 2: a family
-    # matches only under its key, and the indexed lookup finds what a full
-    # scan of SPECIAL_TABLE finds
-    matched = set()
-    for d in range(0, 41):
-        for m0 in range(0, d + 3):
-            for n in range(0, 41):
-                for m in range(1, 5):
-                    scan = [e for e in SPECIAL_TABLE if e.match(d, m0, n, m) is not None]
-                    for e in scan:
-                        assert e.key == (m, d - m0), (e.name, d, m0, n, m)
-                    matched.update(e.name for e in scan)
-                    if m <= 3:
-                        got = lookup_special_table(L(d, m0, n, m), with_decomposition=False)
-                        assert (got.families if got else []) == [e.name for e in scan]
-    assert matched == {e.name for e in SPECIAL_TABLE}
 
 
 def test_tuple_dispatch_matches_the_normalised_system():

@@ -23,6 +23,15 @@ The decomposition digest was
 recorded before the (-1)-curve candidates became configurations: it pins
 every fixed part's label, total, multiplicity and curve count, in order,
 and the classifier's certificate.
+The tree and decomposition digests were re-recorded together when the
+special table left the answer path, its members now answered by the
+large-m0 closed forms and two sporadic base cases, and a base-case answer
+stopped carrying a decomposition: only base-case certificates moved.  With
+the tree of every tree row whose tree has a "table" or "base" key set to
+{}, the tree rows hash to 08453353... before and after (162 of 15,876 rows
+changed); with the last column of every decomposition row whose
+certificate has either key set to null, the decomposition rows hash to
+a7720ee8... before and after (416 of 88,536 rows changed).
 The irreducibility digest was recorded before the Cremona reduction lost
 its step cap and its state strings: it pins every class's verdict, pivot
 sequence, failure reasons and blocking class.
@@ -181,13 +190,13 @@ GOLDEN = [
     (
         "certifier trees d<=20 m<=3",
         certifier_tree_rows,
-        "f3add767d05bacb6dd46805cbcf09b407b84f1c92967ddd551c3b79880cf7df5",
+        "211dc621cf56214ec31d4b2977db4a6d71db2c81353d55de7da14342880a1234",
         _histogram_of("outcome"),
     ),
     (
         "decompositions d<=30 m<=8",
         decomposition_rows,
-        "3420cccc5c06348ad61ce014460ff9b679618a2ffbaaea815adf33d7464982ac",
+        "e1e1816875b7fd7eaf691b60a37d6198195a13b928ed76aadfb4fdfe4eec18f9",
         _fixed_parts_histogram,
     ),
     (
