@@ -203,7 +203,7 @@ def cmd_certify(args) -> int:
     except degeneration.BudgetExceeded as exc:
         print(f"qhplane: error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # each level of the recursion takes two frames
+    except RecursionError:  # each level of the recursion takes one frame
         limit = sys.getrecursionlimit()
         print(f"qhplane: error: recursion limit {limit} reached certifying {sys_}", file=sys.stderr)
         return 1

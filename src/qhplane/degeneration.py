@@ -37,10 +37,10 @@ through `Certifier.certify`, which makes it a node: one memo entry and one
 count against the budget.  A rule's answer costs O(1) to derive again, so
 it is kept in a per-Certifier dict that is never saved.  Below the top
 nothing builds a system object, a DimensionResult or a base-case
-certificate.  Each level takes two Python frames, so a chain deeper than
-about half of Python's recursion limit raises RecursionError.  Its
-soundness checks (the split identities and semicontinuity) raise
-SoundnessError, so they also run under `python -O`.
+certificate.  Each level takes one Python frame, certify, so a chain deeper
+than Python's recursion limit raises RecursionError.  Its soundness checks
+(the split identities and semicontinuity) raise SoundnessError, so they
+also run under `python -O`.
 
 The memo can persist in a JSON cache file (`certify --cache`), which holds
 the nodes and none of the dims a rule answered.  A load parses the file and
@@ -199,7 +199,7 @@ class Certifier:
     """Memoized recursive certifier.
 
     A node is a system that certify examines on a memo miss: the target of
-    a call, or a subsystem that no rule answers (see _build).  budget (at
+    a call, or a subsystem that no rule answers.  budget (at
     least 1) bounds the nodes across one Certifier's lifetime.  The memo is
     a cache file's entries object: it maps the key "d,m0,n,m"
     (core.canonical_key) of each node, or of each system loaded from a
@@ -296,24 +296,95 @@ class Certifier:
     def certify(self, L: QuasiHomogeneousSystem | tuple, *, tree: bool = True) -> Certificate:
         """A new certificate naming L, a system or the tuple (d, m0, n, m)
         of one, as the recursion passes its subsystems; a tuple is not
-        checked, and the certificate names it as given.  Only a memo miss
-        counts a node, even when a rule answers L: on a hit, examined before
-        or loaded from a file, the tree is rebuilt from the dims of L's
-        subsystems, read as the recursion reads them.  With
-        tree=False the outcome and dim are the same, but no tree is built:
-        the certificate's tree is {}."""
+        checked, and the certificate names it as given.  L is proved by a
+        base case, an empty boundary system, or the first split whose limit
+        dim is e.  Only a memo miss counts a node, even when a rule answers
+        L: on a hit, examined before or loaded from a file, the tree is
+        rebuilt from the dims of L's subsystems, read as the recursion reads
+        them.  The tree is the base case's certificate, the boundary's
+        summary, the proving split with its subsystem summaries, or the
+        splits tried; with tree=False the outcome and dim are the same, but
+        no tree is built: the certificate's tree is {}.
+
+        The boundary system and each split's subsystems are read through the
+        same lookup: _known, then, for a subsystem with v <= -1, its empty
+        boundary system, and only when that fails too, certify, which
+        counts the node, with no tree.  The boundary lookup is written out
+        at both places rather than in a helper that calls certify, so each
+        level of the recursion costs one Python frame."""
         system = L if type(L) is tuple else L.as_tuple()
         key = _KEY % canonical_key(*system)
-        if key in self.memo:
-            if self._unchecked and key in self._unchecked:
-                self._check(key)
-            return self._build(system, tree)
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded(f"node budget {self.budget} exhausted at {_L(*system)}")
-        cert = self._build(system, tree)
-        self.memo[key] = cert.dim
-        return cert
+        miss = key not in self.memo
+        if miss:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceeded(f"node budget {self.budget} exhausted at {_L(*system)}")
+        elif self._unchecked and key in self._unchecked:
+            self._check(key)
+        known = self._known
+        d, m0, n, m = system
+        v = lattice_virtual_dim(d, m0, n, m)
+        e = max(-1, v)
+        via = {} if tree else None
+        dim = classifier.base_case_dim(d, m0, n, m, via)
+        bound = _boundary(d, m0, n, m, v) if dim is None else None
+        if bound is not None:
+            # Fewer points: L lies in its boundary system, so that one being
+            # empty empties L.
+            bound_dim = known(_KEY % canonical_key(*bound), bound)
+            if bound_dim is _MISS:
+                bound_dim = self.certify(bound, tree=False).dim
+            if bound_dim == -1:
+                dim = -1
+                if tree:
+                    summary = _summary(bound, -1, lattice_virtual_dim(*bound))
+                    via = {"fewer_points": bound[2], "subsystems": [summary]}
+        if dim is None:
+            attempts = []
+            for k, b in _candidate_splits(d, n, m, v):
+                subs, vs = _split_tuples(d, m0, n, m, k, b, v)
+                dims = []
+                for sub, sub_v in zip(subs, vs):
+                    sub_key = _KEY % canonical_key(*sub)
+                    sub_dim = known(sub_key, sub)
+                    if sub_dim is _MISS:
+                        bound = _boundary(*sub, sub_v)
+                        if bound is not None:
+                            bound_dim = known(_KEY % canonical_key(*bound), bound)
+                            if bound_dim is _MISS:
+                                bound_dim = self.certify(bound, tree=False).dim
+                            if bound_dim == -1:
+                                sub_dim = self._ruled[sub_key] = -1
+                        if sub_dim is _MISS:
+                            sub_dim = self.certify(sub, tree=False).dim
+                    if sub_dim is None:
+                        break
+                    dims.append(sub_dim)
+                if len(dims) < 4:
+                    if tree:
+                        attempts.append({"k": k, "b": b, "result": "unknown-sub"})
+                    continue
+                l0 = _limit_dim(d - k, *dims)
+                # Semicontinuity: the limit dimension bounds l(L) from above,
+                # and l(L) >= e always.
+                if l0 < e:
+                    raise SoundnessError(
+                        f"semicontinuity fails for (k,b)=({k},{b}) on {_L(*system)}: "
+                        f"l0={l0} < e={e} from dims {dims}"
+                    )
+                if l0 == e:
+                    dim = e
+                    if tree:
+                        summaries = list(map(_summary, subs, dims, vs))
+                        via = {"split": {"k": k, "b": b}, "l0": l0, "subsystems": summaries}
+                    break
+                if tree:
+                    attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
+            else:
+                via = {"attempts": attempts}
+        if miss:
+            self.memo[key] = dim
+        return Certificate(system, _outcome(dim, e), dim, via if tree else {})
 
     def _known(self, key: str, system: tuple) -> object:
         """The dim of L(*system), whose memo key is key, from the first three
@@ -332,83 +403,6 @@ class Certifier:
         elif self._unchecked and key in self._unchecked:
             self._check(key)
         return dim
-
-    def _build(self, system: tuple, tree: bool) -> Certificate:
-        """The certificate of L(*system) from a base case, an empty boundary
-        system, or the first split whose limit dim is e.  Only with tree set
-        does it build the tree: the base case's certificate, the boundary's
-        summary, the proving split with its subsystem summaries, or the
-        splits tried.
-
-        The boundary system and each split's subsystems are read through the
-        same lookup: _known, then, for a subsystem with v <= -1, its empty
-        boundary system, and only when that fails too, certify, which
-        counts the node, with no tree.  The boundary lookup is written out
-        at both places rather than in a helper that calls certify, so each
-        level of the recursion costs two Python frames: certify and _build."""
-        known = self._known
-        d, m0, n, m = system
-        v = lattice_virtual_dim(d, m0, n, m)
-        e = max(-1, v)
-        via = {} if tree else None
-        dim = classifier.base_case_dim(d, m0, n, m, via)
-        if dim is not None:
-            return Certificate(system, _outcome(dim, e), dim, via if tree else {})
-        bound = _boundary(d, m0, n, m, v)
-        if bound is not None:
-            # Fewer points: L lies in its boundary system, so that one being
-            # empty empties L.
-            key = _KEY % canonical_key(*bound)
-            dim = known(key, bound)
-            if dim is _MISS:
-                dim = self.certify(bound, tree=False).dim
-            if dim == -1:
-                via = {}
-                if tree:
-                    summary = _summary(bound, -1, lattice_virtual_dim(*bound))
-                    via = {"fewer_points": bound[2], "subsystems": [summary]}
-                return Certificate(system, _outcome(-1, e), -1, via)
-        attempts = []
-        for k, b in _candidate_splits(d, n, m, v):
-            subs, vs = _split_tuples(d, m0, n, m, k, b, v)
-            dims = []
-            for sub, sub_v in zip(subs, vs):
-                key = _KEY % canonical_key(*sub)
-                dim = known(key, sub)
-                if dim is _MISS:
-                    bound = _boundary(*sub, sub_v)
-                    if bound is not None:
-                        bound_dim = known(_KEY % canonical_key(*bound), bound)
-                        if bound_dim is _MISS:
-                            bound_dim = self.certify(bound, tree=False).dim
-                        if bound_dim == -1:
-                            dim = self._ruled[key] = -1
-                    if dim is _MISS:
-                        dim = self.certify(sub, tree=False).dim
-                if dim is None:
-                    break
-                dims.append(dim)
-            if len(dims) < 4:
-                if tree:
-                    attempts.append({"k": k, "b": b, "result": "unknown-sub"})
-                continue
-            l0 = _limit_dim(d - k, *dims)
-            # Semicontinuity: the limit dimension bounds l(L) from above,
-            # and l(L) >= e always.
-            if l0 < e:
-                raise SoundnessError(
-                    f"semicontinuity fails for (k,b)=({k},{b}) on {_L(*system)}: "
-                    f"l0={l0} < e={e} from dims {dims}"
-                )
-            if l0 == e:
-                via = {}
-                if tree:
-                    summaries = list(map(_summary, subs, dims, vs))
-                    via = {"split": {"k": k, "b": b}, "l0": l0, "subsystems": summaries}
-                return Certificate(system, _outcome(e, e), e, via)
-            if tree:
-                attempts.append({"k": k, "b": b, "l0": l0, "dims": dims})
-        return Certificate(system, _outcome(None, e), None, {"attempts": attempts} if tree else {})
 
 
 def _boundary(d: int, m0: int, n: int, m: int, v: int) -> Optional[tuple]:

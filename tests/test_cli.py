@@ -450,13 +450,13 @@ def test_closed_pipe_exits_1_without_traceback():
 
 
 def test_certify_too_deep_exits_1_without_traceback():
-    # the m = 2 chain of L(1000,0,167166,2) has about d/2 = 500 levels of
-    # two frames each, which with the CLI's own frames pass CPython's
+    # the m = 2 chain of L(2000,0,667666,2) has about d/2 = 1000 levels of
+    # one frame each, which with the CLI's own frames pass CPython's
     # default recursion limit of 1000
-    proc = _run_module("certify", "1000", "0", "167166", "2")
+    proc = _run_module("certify", "2000", "0", "667666", "2")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == (
-        "qhplane: error: recursion limit 1000 reached certifying L(1000,0,167166,2)\n"
+        "qhplane: error: recursion limit 1000 reached certifying L(2000,0,667666,2)\n"
     )

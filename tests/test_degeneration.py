@@ -1,7 +1,9 @@
 import hashlib
 import heapq
+import inspect
 import json
 import os
+import sys
 from itertools import islice
 
 import pytest
@@ -679,18 +681,38 @@ def test_a_cache_holding_rule_answered_entries_still_loads(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "n, outcome, dim, nodes",
-    [(83583, Status.NON_SPECIAL_PROVED, 2, 28546), (83584, Status.EMPTY_PROVED, -1, 28764)],
-    ids=["non-special", "empty"],
+    "m, n, outcome, dim, nodes",
+    [
+        (3, 83583, Status.NON_SPECIAL_PROVED, 2, 28546),
+        (3, 83584, Status.EMPTY_PROVED, -1, 28764),
+        (2, 167166, Status.NON_SPECIAL_PROVED, 2, 1328),
+        (2, 167167, Status.EMPTY_PROVED, -1, 1329),
+    ],
+    ids=["3-83583", "3-83584", "2-167166", "2-167167"],
 )
-def test_m3_boundary_systems_at_d_1000_certify_within_the_default_budget(n, outcome, dim, nodes):
-    # L(1000, 0, floor(1000 * 1003 / 12), 3) and the next: their chains stay
-    # within Python's recursion limit since a subsystem emptied by its
-    # boundary system no longer takes a level of its own
+def test_boundary_systems_at_d_1000_certify_within_the_default_budget(m, n, outcome, dim, nodes):
+    # L(1000, 0, floor(1000 * 1003 / (m(m+1))), m) and the next: their chains
+    # stay within Python's recursion limit since a subsystem emptied by its
+    # boundary system no longer takes a level of its own, and each level
+    # takes one frame
     cf = Certifier()
-    cert = cf.certify(L(1000, 0, n, 3), tree=False)
+    cert = cf.certify(L(1000, 0, n, m), tree=False)
     assert (cert.outcome, cert.dim) == (outcome, dim)
     assert cf.nodes == nodes < degeneration.DEFAULT_BUDGET
+
+
+def test_each_level_of_the_recursion_takes_one_frame():
+    # the m = 2 chain of L(300,0,15150,2) has about d/2 = 150 levels, so at
+    # one frame per level it needs about 155 frames, and 200 above the
+    # current depth fail at two frames per level
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        cert = Certifier().certify(L(300, 0, 15150, 2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.outcome == Status.NON_SPECIAL_PROVED
 
 
 def test_treeless_certify_matches_the_full_certificate():
