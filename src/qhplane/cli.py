@@ -213,8 +213,6 @@ def cmd_certify(args) -> int:
         _emit_json(cert.to_dict())
     else:
         print(f"{sys_}: {cert.outcome.value}" + (f" dim={cert.dim}" if cert.dim is not None else ""))
-        if args.trace:
-            print(json.dumps(cert.tree, indent=2, default=str))
     return 0
 
 
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _system_args(p)
     p.add_argument("--budget", type=int, default=degeneration.DEFAULT_BUDGET)
     p.add_argument("--cache", type=str, default=None, help="memo cache file")
-    p.add_argument("--trace", action="store_true")
     _format_flag(p, csv_too=False)
     p.set_defaults(func=cmd_certify)
 

@@ -5,9 +5,9 @@ point of multiplicity m0 at one general point p0 and multiplicity m at n
 further general points.  This module holds the system type, the one status
 vocabulary shared by the classifier and the certifier, the virtual /
 expected dimension bookkeeping with the rule that turns a proved dimension
-into a proved status, the intersection pairing, and the closed-form
-dimension of up to three fat points (a count of monomials by
-inclusion-exclusion) that the base cases everywhere else rest on.
+into a proved status, and the closed-form dimension of up to three fat
+points (a count of monomials by inclusion-exclusion) that the base cases
+everywhere else rest on.
 """
 
 from __future__ import annotations
@@ -148,18 +148,6 @@ def invariants(L: QuasiHomogeneousSystem) -> SystemInvariants:
     if v != self_int - genus + 1:
         raise SoundnessError(f"v != L^2 - g + 1 for {L}")
     return SystemInvariants(v=v, e=max(-1, v), self_int=self_int, genus=genus)
-
-
-def intersect(
-    a: QuasiHomogeneousSystem, b: QuasiHomogeneousSystem, n_shared: int
-) -> int:
-    """Intersection number of two systems sharing p0 and n_shared of the
-    equal-multiplicity points."""
-    if n_shared < 0 or n_shared > min(a.n, b.n):
-        raise ValueError(
-            f"n_shared={n_shared} exceeds min(n, n') = {min(a.n, b.n)}"
-        )
-    return a.d * b.d - a.m0 * b.m0 - n_shared * a.m * b.m
 
 
 def trinomial_dim(d: int, m0: int, m1: int, m2: int) -> int:

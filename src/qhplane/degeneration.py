@@ -92,12 +92,6 @@ _HEAD = '{"version": %d, "entries": {' % CACHE_VERSION
 
 
 @dataclass(frozen=True)
-class DegenerationParams:
-    k: int
-    b: int
-
-
-@dataclass(frozen=True)
 class DegenerationSplit:
     """The four subsystems cut out by a (k,b)-degeneration of L.
 
@@ -107,7 +101,8 @@ class DegenerationSplit:
     """
 
     parent: QuasiHomogeneousSystem
-    params: DegenerationParams
+    k: int
+    b: int
     LP: QuasiHomogeneousSystem
     LF: QuasiHomogeneousSystem
     hatLP: QuasiHomogeneousSystem
@@ -135,16 +130,15 @@ def _split_tuples(d: int, m0: int, n: int, m: int, k: int, b: int, v: int) -> tu
     return subs, vs
 
 
-def split(L: QuasiHomogeneousSystem, params: DegenerationParams) -> DegenerationSplit:
+def split(L: QuasiHomogeneousSystem, k: int, b: int) -> DegenerationSplit:
     d, m0, n, m = L.as_tuple()
-    k, b = params.k, params.b
     if not (0 < k < d):
         raise ValueError(f"k={k} out of range 0 < k < d={d}")
     if not (0 < b < n):
         raise ValueError(f"b={b} out of range 0 < b < n={n}")
     v = lattice_virtual_dim(d, m0, n, m)
     LP, LF, hatLP, hatLF = (_L(*t) for t in _split_tuples(d, m0, n, m, k, b, v)[0])
-    return DegenerationSplit(L, params, LP, LF, hatLP, hatLF)
+    return DegenerationSplit(L, k, b, LP, LF, hatLP, hatLF)
 
 
 def _limit_dim(dk: int, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
@@ -174,7 +168,7 @@ def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> in
     rP + rF <= d-k-1 and lP + lF - (d-k) otherwise.  That branch test is the
     comparison of the two terms, so l0 is their max (and the two agree on
     the boundary rP + rF = d-k-1)."""
-    return _limit_dim(s.parent.d - s.params.k, lP, lF, lPhat, lFhat)
+    return _limit_dim(s.parent.d - s.k, lP, lF, lPhat, lFhat)
 
 
 @dataclass

@@ -59,8 +59,9 @@ class MinusOneConfiguration:
     mu2: int
     n: int
     count: int = -1  # defaults to n (orbit case)
-    # The system of the whole union, built once: the decomposition search
-    # reads it in its inner loop.
+    # The system of the whole union, built once for `label`, the sort in
+    # enumerate_configurations, SpecialDecomposition.to_dict and the rows of
+    # `enumerate --configurations` (the search reads `_candidates`' tuples).
     total: QuasiHomogeneousSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

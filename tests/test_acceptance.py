@@ -11,7 +11,7 @@ import pytest
 from qhplane.classifier import dimension, lookup_special_table
 from qhplane.core import L, Status, canonical_key, expected_dim, invariants, virtual_dim
 from qhplane.cremona import dim_large_m0, quadratic_transform
-from qhplane.degeneration import Certifier, DegenerationParams, split
+from qhplane.degeneration import Certifier, split
 from qhplane.minus_one import (
     enumerate_configurations,
     enumerate_qh_classes,
@@ -323,12 +323,9 @@ def test_criterion_8_property_suites():
         d = int(rng.integers(2, 30))
         n = int(rng.integers(2, 15))
         sys_ = L(d, int(rng.integers(0, d + 1)), n, int(rng.integers(1, 5)))
-        s = split(
-            sys_,
-            DegenerationParams(int(rng.integers(1, d)), int(rng.integers(1, n))),
-        )
+        s = split(sys_, int(rng.integers(1, d)), int(rng.integers(1, n)))
         v = virtual_dim(sys_)
-        assert virtual_dim(s.LP) + virtual_dim(s.LF) == v + d - s.params.k
+        assert virtual_dim(s.LP) + virtual_dim(s.LF) == v + d - s.k
         assert virtual_dim(s.hatLP) + virtual_dim(s.LF) == v - 1
 
     # involution of the quadratic transformation

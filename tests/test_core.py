@@ -10,7 +10,6 @@ from qhplane.core import (
     QuasiHomogeneousSystem,
     SoundnessError,
     expected_dim,
-    intersect,
     invariants,
     trinomial_dim,
     virtual_dim,
@@ -81,13 +80,6 @@ def test_canonical_key_sorts_two_points():
 
 def test_multiplicities():
     assert L(4, 3, 2, 1).multiplicities() == [3, 1, 1]
-
-
-def test_intersect():
-    a, b = L(27, 17, 9, 7), L(12, 8, 9, 3)
-    assert intersect(a, b, 9) == 27 * 12 - 17 * 8 - 9 * 21 == -1
-    with pytest.raises(ValueError):
-        intersect(a, b, 10)
 
 
 def test_simple_points_impose_independent_conditions():

@@ -3,6 +3,7 @@ import heapq
 import inspect
 import json
 import os
+import re
 import sys
 from itertools import islice
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from qhplane import classifier, degeneration
 from qhplane.core import (
+    MAX_INPUT,
     L,
     Status,
     canonical_key,
@@ -23,7 +25,6 @@ from qhplane.degeneration import (
     MAX_SPLITS_PER_NODE,
     BudgetExceeded,
     Certifier,
-    DegenerationParams,
     DegenerationSplit,
     SoundnessError,
     _ranked_splits,
@@ -37,7 +38,7 @@ from qhplane.oracle import measure_dim
 
 
 def test_split_example():
-    s = split(L(6, 0, 5, 3), DegenerationParams(2, 3))
+    s = split(L(6, 0, 5, 3), 2, 3)
     assert s.LP.as_tuple() == (4, 0, 2, 3)
     assert s.LF.as_tuple() == (6, 4, 3, 3)
     assert s.hatLP.as_tuple() == (3, 0, 2, 3)
@@ -48,11 +49,11 @@ def test_split_example():
 
 def test_split_rejects_out_of_bounds():
     with pytest.raises(ValueError):
-        split(L(6, 0, 5, 3), DegenerationParams(6, 3))
+        split(L(6, 0, 5, 3), 6, 3)
     with pytest.raises(ValueError):
-        split(L(6, 0, 5, 3), DegenerationParams(2, 5))
+        split(L(6, 0, 5, 3), 2, 5)
     with pytest.raises(ValueError):
-        split(L(6, 0, 5, 3), DegenerationParams(0, 3))
+        split(L(6, 0, 5, 3), 0, 3)
 
 
 @settings(max_examples=200)
@@ -66,7 +67,7 @@ def test_split_rejects_out_of_bounds():
 def test_lemma_identities_on_all_splits(d, m0, n, m, data):
     k = data.draw(st.integers(1, d - 1))
     b = data.draw(st.integers(1, n - 1))
-    s = split(L(d, m0, n, m), DegenerationParams(k, b))
+    s = split(L(d, m0, n, m), k, b)
     v = virtual_dim(s.parent)
     assert virtual_dim(s.LP) + virtual_dim(s.LF) == v + d - k
     assert virtual_dim(s.hatLP) + virtual_dim(s.LF) == v - 1
@@ -74,13 +75,13 @@ def test_lemma_identities_on_all_splits(d, m0, n, m, data):
 
 
 def test_dim_L0_all_empty():
-    s = split(L(10, 0, 11, 3), DegenerationParams(3, 5))
+    s = split(L(10, 0, 11, 3), 3, 5)
     assert dim_L0(s, -1, -1, -1, -1) == -1
 
 
 def test_dim_L0_boundary_consistency():
     # when rP + rF = d - k - 1 both formulas agree
-    s = split(L(6, 0, 6, 2), DegenerationParams(1, 3))
+    s = split(L(6, 0, 6, 2), 1, 3)
     d_k = 5
     lPhat, lFhat = 2, 1
     rP, rF = 2, d_k - 1 - 2
@@ -90,7 +91,7 @@ def test_dim_L0_boundary_consistency():
 
 def test_dim_L0_transversal_case():
     # l0 = lP + lF - (d - k) when the restricted series are transversal
-    s = split(L(8, 0, 4, 2), DegenerationParams(1, 2))
+    s = split(L(8, 0, 4, 2), 1, 2)
     assert dim_L0(s, 20, 10, 5, 2) == 20 + 10 - 7
 
 
@@ -265,11 +266,22 @@ def _assert_read_names(path, key):
 
 
 def _reference_accepts(entries):
-    try:
-        for key, dim in entries.items():
-            degeneration._check_entry(key, dim)
-    except ValueError:
-        return False
+    """The documented rule for cache entries, written out without
+    degeneration: each key is four plain ASCII decimals with no leading
+    zero, equal to canonical_key of its integers, each at most MAX_INPUT;
+    each dim is None or an int, not a bool, from e to the dim of L(d, m0)."""
+    for key, dim in entries.items():
+        fields = key.split(",")
+        if len(fields) != 4 or not all(re.fullmatch("0|[1-9][0-9]*", f) for f in fields):
+            return False
+        system = tuple(map(int, fields))
+        if canonical_key(*system) != system or max(system) > MAX_INPUT:
+            return False
+        d, m0, n, m = system
+        e = max(-1, lattice_virtual_dim(d, m0, n, m))
+        top = max(-1, lattice_virtual_dim(d, m0, 0, 0))
+        if dim is not None and (type(dim) is not int or not e <= dim <= top):
+            return False
     return True
 
 
@@ -850,7 +862,7 @@ def test_split_identities_are_checked(monkeypatch, shifts):
         degeneration, "lattice_virtual_dim", lambda *t: real(*t) + shift.get(t, 0)
     )
     with pytest.raises(SoundnessError, match="split identities"):
-        split(L(6, 0, 5, 3), DegenerationParams(2, 3))
+        split(L(6, 0, 5, 3), 2, 3)
 
 
 def test_certifier_checks_split_identities(monkeypatch):
@@ -873,7 +885,7 @@ def _two_branch_l0(dk, lP, lF, lPhat, lFhat):
 def test_dim_L0_equals_the_two_branch_rule():
     dims = range(-1, 7)
     for d in range(2, 10):
-        s = split(L(d, 0, 2, 1), DegenerationParams(1, 1))  # d - k = d - 1
+        s = split(L(d, 0, 2, 1), 1, 1)  # d - k = d - 1
         for lP in dims:
             for lF in dims:
                 for lPhat in dims:
