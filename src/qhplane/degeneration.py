@@ -21,11 +21,12 @@ keeps d with nb < n points.
 
 For m = 2 and 3 the splits tried first have k = m (see _candidate_splits):
 their F-side subsystems are closed forms of the large-m0 theory, so the
-recursion goes on down the P side only.  The m = 2 boundary system
-L(d, 0, floor(d(d+3)/6), 2) takes 395 nodes at d = 300; the list tried
-after those splits takes about d^3 / 40 on its own (3,047 at d = 50, past
-the default budget from d = 170).  That list still follows in full at every
-node, so no system it proves can be lost.
+recursion goes on down the P side only.  The boundary systems
+L(d, 0, floor(d(d+3)/(m(m+1))), m) take 395 nodes at d = 300 for m = 2 and
+1,655 at d = 1000 for m = 3.  The ranked list tried after those splits
+still follows in full at every node; on its own it takes about d^3 / 40
+nodes on the m = 2 system (2,965 at d = 50, past the default budget from
+d = 164).
 
 The recursion runs on plain (d, m0, n, m) tuples, and spends a node only
 on a system it must prove by a split or by fewer points.  A subsystem's
@@ -420,27 +421,23 @@ def _candidate_splits(d: int, n: int, m: int, v: int) -> Iterator[tuple[int, int
     For m = 2 and 3 the first choices have k = m.  Their F-side subsystems
     L(d, d-k, b, m) and L(d, d-k+1, b, m) have m0 >= d - m - 1, so they are
     closed-form base cases, and the recursion goes on only down the P side
-    L(d-k, m0, n-b, m), with v(LP) = v - k(2d-k+3)/2 + b*m(m+1)/2.  For
-    m = 2 the b are t = floor((2d+1)/3) and t + 1, so the P side keeps L's v
-    to within 3 and a homogeneous chain has about 2d/3 levels.  For m = 3
-    they are ceil(d/2) - 1, floor(d/2) - 1 and ceil(d/2).  These pairs only
-    go ahead of the list tried before them, which follows in full: every
-    node's candidates contain that list, so by induction on (d, n) a system
-    that list proves is still proved with the same dim, and one it left
-    unknown can only become proved (given enough budget and Python stack)."""
+    L(d-k, m0, n-b, m), with v(LP) = v - k(2d-k+3)/2 + b*m(m+1)/2, so a
+    homogeneous chain has about d/m levels.  For m = 2 the b are
+    t = floor((2d+1)/3) and t + 1, which keep L's v to within 3, and a k = 1
+    pair follows them; for m = 3 they are h - 1, h and h + 1 with
+    h = ceil(d/2), which keep it to within 9.
+
+    For m = 2 these pairs only go ahead of the list tried before them, so by
+    induction on (d, n) a system that list proves keeps its dim.  For m = 3
+    that list also held (2, b) with 2d/5 < b <= d/2 for v <= -1; without
+    them every system with d, n <= 60 and m0 <= d keeps its outcome and dim."""
     prescriptions: list[tuple[int, int]] = []
     h = (d + 1) // 2
     if m == 2:
         t = (2 * d + 1) // 3
         prescriptions += [(2, t), (2, t + 1), (1, d // 2 + 1) if v <= -1 else (1, h)]
     elif m == 3:
-        prescriptions += [(3, h - 1), (3, d // 2 - 1), (3, h)]
-        if v <= -1:
-            for b in range(d // 2, 2 * d // 5, -1):
-                if d % 4 == 0 and 2 * b == d:
-                    continue
-                prescriptions.append((2, b))
-        prescriptions.append((3, h + 1))
+        prescriptions += [(3, h - 1), (3, h), (3, h + 1)]
     seen = set()
     for k, b in chain(prescriptions, islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE)):
         if 0 < k < d and 0 < b < n and (k, b) not in seen:

@@ -187,6 +187,13 @@ def _classes_on(n: int, m_max: int) -> list[tuple[int, int, int]]:
     return classes
 
 
+def _is_curve(d: int, m0: int, n: int, k: int) -> bool:
+    """Whether the (-1)-class (d; m0, k^n) of `_classes_on` is a curve: by
+    its family when k = 1 (see `candidates_for`), else when it reduces to a
+    line."""
+    return k == 1 or reduces_to_line(d, (m0,) + (k,) * n)[0]
+
+
 def homogeneous_form(L: QuasiHomogeneousSystem) -> Optional[QuasiHomogeneousSystem]:
     """m0 = 0 normal form of L if it is homogeneous (m0 = 0 or m0 = m)."""
     if L.m0 == 0:
@@ -295,11 +302,7 @@ def _blocking_class(L: QuasiHomogeneousSystem) -> Optional[dict]:
     d, m0, n, m = L.as_tuple()
     for od, om0, om in _classes_on(n, m):
         pairing = d * od - m0 * om0 - n * m * om
-        if (
-            pairing < 0
-            and (od, om0, om) != (d, m0, m)
-            and reduces_to_line(od, (om0,) + (om,) * n)[0]
-        ):
+        if pairing < 0 and (od, om0, om) != (d, m0, m) and _is_curve(od, om0, n, om):
             residual = (d - od, m0 - om0, n, m - om)
             return {
                 "class": (od, om0, n, om),
@@ -352,11 +355,7 @@ def candidates_for(L: QuasiHomogeneousSystem) -> tuple[tuple[int, int, int, int,
 
 @lru_cache(maxsize=4096)
 def _candidates(n: int, m: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    singles = [
-        (d, m0, k, k, 1)
-        for d, m0, k in _classes_on(n, m)
-        if k == 1 or reduces_to_line(d, (m0,) + (k,) * n)[0]
-    ]
+    singles = [(d, m0, k, k, 1) for d, m0, k in _classes_on(n, m) if _is_curve(d, m0, n, k)]
     # The n lines through p0, then the orbits with mu2 >= 1.
     orbits = [(1, 1, 1, 0, n)] if n >= 2 else []
     orbits += [

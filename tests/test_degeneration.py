@@ -393,14 +393,15 @@ def test_check_cache_on_single_entries(tmp_path):
     ],
 )
 def test_tampered_entry_after_the_full_ladder_is_named(tmp_path, key, dim):
-    # perfbench's 62-call ladder leaves 384 entries (2,212 before the k = m
-    # splits went first, and 1,448 while the subsystems a rule answers were
-    # saved too); one bad entry after all of them is still found and named
+    # perfbench's 62-call ladder leaves 171 entries (2,212 before the k = m
+    # splits went first, 1,448 while the subsystems a rule answers were
+    # saved too, and 384 while m = 3 also tried the (2, b) splits); one bad
+    # entry after all of them is still found and named
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 384 and key not in data["entries"]
+    assert len(data["entries"]) == 171 and key not in data["entries"]
     data["entries"][key] = dim
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -427,10 +428,12 @@ def test_a_bad_entry_is_named_where_the_recursion_reads_it(tmp_path):
 
 
 def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
-    # The 62-call ladder loads 61 files; it checks the 419 entries it reads,
+    # The 62-call ladder loads 61 files; it checks the 235 entries it reads,
     # and writes the bytes json.dumps gives.  While the subsystems a rule
     # answers were saved too, the files held 54,011 entries in all, of which
-    # it checked 1,056, and the last was 25,364 bytes (sha256 7f95c501...).
+    # it checked 1,056, and the last was 25,364 bytes (sha256 7f95c501...);
+    # while m = 3 also tried the (2, b) splits, it checked 419 and the last
+    # was 6,739 bytes (sha256 9f3d9f93...).
     checked = []
     check_entry = degeneration._check_entry
 
@@ -441,12 +444,12 @@ def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(degeneration, "_check_entry", count)
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
-    assert len(checked) == 419
+    assert len(checked) == 235
     with open(path, "rb") as fh:
         text = fh.read()
-    assert len(text) == 6739 and text == json.dumps(json.loads(text)).encode()
+    assert len(text) == 2961 and text == json.dumps(json.loads(text)).encode()
     assert hashlib.sha256(text).hexdigest() == (
-        "9f3d9f938136a14cd71497ba2a8f4a7d329fe3176f3b3dec41a2621c31a4f808"
+        "6faf27f85dac3a6e60bd370553edc0763c2d17c4c6c63710d3e451148989cbe8"
     )
 
 
@@ -592,14 +595,15 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
 @pytest.mark.parametrize(
     "system, nodes",
     [
-        ((30, 0, 83, 3), 41),
-        ((30, 0, 84, 3), 42),
+        ((30, 0, 83, 3), 38),
+        ((30, 0, 84, 3), 39),
         ((30, 0, 150, 2), 110),
-        ((50, 0, 309, 3), 99),
-        ((120, 0, 1600, 3), 508),
+        ((50, 0, 309, 3), 71),
+        ((120, 0, 1600, 3), 190),
     ],
     # each id keeps the count pinned while every subsystem a rule answers
-    # was a node too, so each case keeps its name
+    # was a node too, so each case keeps its name; the m = 3 counts were
+    # 41, 42, 99 and 508 while m = 3 also tried the (2, b) splits
     ids=["system0-246", "system1-247", "system2-272", "system3-506", "system4-1837"],
 )
 def test_node_counts_are_pinned(system, nodes):
@@ -693,22 +697,26 @@ def test_a_cache_holding_rule_answered_entries_still_loads(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "m, n, outcome, dim, nodes",
+    "d, m, n, outcome, dim, nodes",
     [
-        (3, 83583, Status.NON_SPECIAL_PROVED, 2, 28546),
-        (3, 83584, Status.EMPTY_PROVED, -1, 28764),
-        (2, 167166, Status.NON_SPECIAL_PROVED, 2, 1328),
-        (2, 167167, Status.EMPTY_PROVED, -1, 1329),
+        (1000, 3, 83583, Status.NON_SPECIAL_PROVED, 2, 1655),
+        (1000, 3, 83584, Status.EMPTY_PROVED, -1, 1655),
+        (1000, 2, 167166, Status.NON_SPECIAL_PROVED, 2, 1328),
+        (1000, 2, 167167, Status.EMPTY_PROVED, -1, 1329),
+        (2000, 3, 333833, Status.NON_SPECIAL_PROVED, 2, 3321),
+        (2000, 3, 333834, Status.EMPTY_PROVED, -1, 3321),
     ],
-    ids=["3-83583", "3-83584", "2-167166", "2-167167"],
+    ids=["3-83583", "3-83584", "2-167166", "2-167167", "3-333833", "3-333834"],
 )
-def test_boundary_systems_at_d_1000_certify_within_the_default_budget(m, n, outcome, dim, nodes):
-    # L(1000, 0, floor(1000 * 1003 / (m(m+1))), m) and the next: their chains
-    # stay within Python's recursion limit since a subsystem emptied by its
+def test_boundary_systems_certify_within_the_default_budget(d, m, n, outcome, dim, nodes):
+    # L(d, 0, floor(d(d+3) / (m(m+1))), m) and the next: their chains stay
+    # within Python's recursion limit since a subsystem emptied by its
     # boundary system no longer takes a level of its own, and each level
-    # takes one frame
+    # takes one frame.  The m = 3 systems at d = 1000 took 28,546 and 28,764
+    # nodes, and those at d = 2000 exhausted the default budget, while m = 3
+    # also tried the (2, b) splits.
     cf = Certifier()
-    cert = cf.certify(L(1000, 0, n, m), tree=False)
+    cert = cf.certify(L(d, 0, n, m), tree=False)
     assert (cert.outcome, cert.dim) == (outcome, dim)
     assert cf.nodes == nodes < degeneration.DEFAULT_BUDGET
 
@@ -786,26 +794,25 @@ def test_lazy_split_ranking_matches_sorted_list():
 
 def _prescriptions_before_k_m_splits(d, n, m, v):
     # the paper-guided head of _candidate_splits as it was before the k = m
-    # splits went first, kept within range; the ranked tail followed it
+    # splits went first, kept within range, less the (2, b) splits m = 3
+    # tried for v <= -1, which are no longer tried; the ranked tail followed
+    # it
     prescriptions = []
     if m == 2:
         prescriptions.append((1, d // 2 + 1) if v <= -1 else (1, (d + 1) // 2))
     elif m == 3:
-        if v <= -1:
-            for b in range(d // 2, 2 * d // 5, -1):
-                if d % 4 == 0 and 2 * b == d:
-                    continue
-                prescriptions.append((2, b))
         h = (d + 1) // 2
         prescriptions += [(3, h), (3, h + 1)]
     return [(k, b) for k, b in prescriptions if 0 < k < d and 0 < b < n]
 
 
 def test_candidates_contain_the_list_before_the_k_m_splits(monkeypatch):
-    # Every node still tries every pair it tried before, so by induction on
-    # (d, n) no proof is lost: a proved dim stays proved, an unknown one can
-    # only become proved.  The ranked tail is the reference list, which
-    # _ranked_splits matches on this box (test_lazy_split_ranking_matches_sorted_list).
+    # Every node still tries every pair it tried before the k = m splits
+    # went first, other than the (2, b) splits m = 3 tried for v <= -1.  So
+    # by induction on (d, n) no m = 2 proof is lost: a proved dim stays
+    # proved, an unknown one can only become proved.  The ranked tail is the
+    # reference list, which _ranked_splits matches on this box
+    # (test_lazy_split_ranking_matches_sorted_list).
     ranked = {(d, n): _ranked_reference(d, n) for d in range(41) for n in range(41)}
     monkeypatch.setattr(degeneration, "_ranked_splits", lambda d, n: iter(ranked[d, n]))
     # The candidates read v only through v <= -1, so v = -1 and v = 0 stand
@@ -930,15 +937,18 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     # Re-recorded when the subsystems a rule answers stopped being saved:
     # 615 entries (sha256 21adc098...) became 131, each with the same dim
     # and in the same order as in the 615; the 484 dropped are 280 base
-    # cases and 204 systems whose boundary system is empty.
+    # cases and 204 systems whose boundary system is empty.  Re-recorded
+    # when m = 3 stopped trying the (2, b) splits: 131 entries
+    # (sha256 3f31e831...) became 87, and each of the 86 keys in both files
+    # has the same dim in both.
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 131
+    assert len(data["entries"]) == 87
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "3f31e8310c09f0797ea2cc7ede9ab21d7237c4aa8da50ec184cd5a0c314ef3ee"
+        "5c25b2b68599fd0e7724a02aac7df1d035c7f2809d0944d787ab5b6958e8656c"
     )
 
 

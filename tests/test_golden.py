@@ -32,6 +32,11 @@ the tree of every tree row whose tree has a "table" or "base" key set to
 changed); with the last column of every decomposition row whose
 certificate has either key set to null, the decomposition rows hash to
 a7720ee8... before and after (416 of 88,536 rows changed).
+The tree digest was re-recorded when m = 3 stopped trying the (2, b)
+splits for v <= -1 and kept only the k = 3 splits ahead of the ranked list
+(211dc621... before): the 78 rows that changed are m = 3 rows, proved by a
+split before and after with the same system, outcome and dim, and differ
+only in the split that proves them and its subsystems.
 The irreducibility digest was recorded before the Cremona reduction lost
 its step cap and its state strings: it pins every class's verdict, pivot
 sequence, failure reasons and blocking class.
@@ -190,7 +195,7 @@ GOLDEN = [
     (
         "certifier trees d<=20 m<=3",
         certifier_tree_rows,
-        "211dc621cf56214ec31d4b2977db4a6d71db2c81353d55de7da14342880a1234",
+        "a601c2fc0b1343793ef31814b177346b93a7a02405f96c77f39a00607071eefe",
         _histogram_of("outcome"),
     ),
     (
