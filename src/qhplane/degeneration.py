@@ -7,7 +7,8 @@ semicontinuity.  Whenever l0 equals the expected dimension, the system is
 proved non-special (empty if v <= -1).  The certifier recurses on the
 subsystems, with the classifier's proved base cases (few points, the
 closed forms of the large-m0 theory, two sporadic special systems) as leaves,
-and memoizes proved dims by canonical key.  Outcomes use core.Status.
+and memoizes proved dims by canonical key.  Outcomes use core.Status: a
+proved dim above e is SpecialProved, an unknown one Inconclusive.
 
 Adding a general point only cuts a system down, so L(d, m0, n, m) lies in
 L(d, m0, nb, m) for nb <= n.  Before trying splits, a system with v <= -1
@@ -19,14 +20,13 @@ ends because each step lowers (d, n) lexicographically: LP and hatLP have
 a lower d, LF and hatLF keep d with b < n points, and the fewer-points rule
 keeps d with nb < n points.
 
-For m = 2 and 3 the splits tried first have k = m (see _candidate_splits):
+Every node tries the paper's k = m splits first (see _candidate_splits):
 their F-side subsystems are closed forms of the large-m0 theory, so the
-recursion goes on down the P side only.  The boundary systems
-L(d, 0, floor(d(d+3)/(m(m+1))), m) take 395 nodes at d = 300 for m = 2 and
-1,655 at d = 1000 for m = 3.  The ranked list tried after those splits
-still follows in full at every node; on its own it takes about d^3 / 40
-nodes on the m = 2 system (2,965 at d = 50, past the default budget from
-d = 164).
+recursion goes on down the P side only.  For m <= 3 they, and one k = 2
+split for m = 3, are all a node tries; for m >= 4 a ranked list of pairs
+follows them.  The boundary systems L(d, 0, floor(d(d+3)/(m(m+1))), m)
+take 395 nodes at d = 300 for m = 2, 1,652 at d = 1000 for m = 3 and
+8,775 at d = 200 for m = 4.
 
 The recursion runs on plain (d, m0, n, m) tuples, and spends a node only
 on a system it must prove by a split or by fewer points.  A subsystem's
@@ -82,7 +82,7 @@ class BudgetExceeded(RuntimeError):
 CACHE_VERSION = 3
 #: nodes one Certifier may examine unless told otherwise
 DEFAULT_BUDGET = 100_000
-#: fallback (k, b) splits tried per node after the paper-guided ones
+#: ranked (k, b) splits an m >= 4 node tries after the k = m ones
 MAX_SPLITS_PER_NODE = 400
 #: memo and cache-file keys: core.canonical_key as four plain decimal integers
 _KEY = "%d,%d,%d,%d"
@@ -149,16 +149,14 @@ def _limit_dim(dk: int, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
 
 def _outcome(dim: Optional[int], e: int) -> Status:
     """The certifier's outcome for a proved dim (None when unknown) of a
-    system with expected dimension e.
-
-    A proved dim above e makes the system special, which the certifier does
-    not certify: it is Inconclusive, and its dim stays usable by callers
-    needing subsystem dimensions."""
+    system with expected dimension e: a proved dim above e is special."""
+    if dim is None:
+        return Status.INCONCLUSIVE
     if dim == -1:
         return Status.EMPTY_PROVED
     if dim == e:
         return Status.NON_SPECIAL_PROVED
-    return Status.INCONCLUSIVE
+    return Status.SPECIAL_PROVED
 
 
 def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> int:
@@ -175,8 +173,8 @@ def dim_L0(s: DegenerationSplit, lP: int, lF: int, lPhat: int, lFhat: int) -> in
 @dataclass
 class Certificate:
     system: tuple[int, int, int, int]  # (d, m0, n, m)
-    # EMPTY_PROVED | NON_SPECIAL_PROVED | INCONCLUSIVE; a str Enum, so json
-    # writes its value
+    # EMPTY_PROVED | NON_SPECIAL_PROVED | SPECIAL_PROVED | INCONCLUSIVE; a
+    # str Enum, so json writes its value
     outcome: Status
     dim: Optional[int]  # proven generic dimension when available
     tree: dict = field(default_factory=dict)
@@ -336,7 +334,7 @@ class Certifier:
                     via = {"fewer_points": bound[2], "subsystems": [summary]}
         if dim is None:
             attempts = []
-            for k, b in _candidate_splits(d, n, m, v):
+            for k, b in _candidate_splits(d, n, m):
                 subs, vs = _split_tuples(d, m0, n, m, k, b, v)
                 dims = []
                 for sub, sub_v in zip(subs, vs):
@@ -412,34 +410,32 @@ def _boundary(d: int, m0: int, n: int, m: int, v: int) -> Optional[tuple]:
     return None
 
 
-def _candidate_splits(d: int, n: int, m: int, v: int) -> Iterator[tuple[int, int]]:
-    """Paper-guided (k, b) choices first, then the first MAX_SPLITS_PER_NODE
-    pairs of the balanced exhaustive ranking, each pair once; v is the
-    virtual dimension of the system L(d, m0, n, m) being split, read only
-    through its sign (v <= -1), so m0 is not needed.
+def _candidate_splits(d: int, n: int, m: int) -> Iterator[tuple[int, int]]:
+    """The (k, b) splits of L(d, m0, n, m) to try, in order, each once and
+    each with 0 < k < d and 0 < b < n; m0 is not needed.
 
-    For m = 2 and 3 the first choices have k = m.  Their F-side subsystems
-    L(d, d-k, b, m) and L(d, d-k+1, b, m) have m0 >= d - m - 1, so they are
-    closed-form base cases, and the recursion goes on only down the P side
-    L(d-k, m0, n-b, m), with v(LP) = v - k(2d-k+3)/2 + b*m(m+1)/2, so a
-    homogeneous chain has about d/m levels.  For m = 2 the b are
-    t = floor((2d+1)/3) and t + 1, which keep L's v to within 3, and a k = 1
-    pair follows them; for m = 3 they are h - 1, h and h + 1 with
-    h = ceil(d/2), which keep it to within 9.
+    First the paper's k = m splits: (m, b0), (m, b0 + 1) and (m, b0 - 1)
+    with b0 = floor((2d - m + 3)/(m + 1)), each b clamped to n - 1.  Their
+    F-side subsystems L(d, d-m, b, m) and L(d, d-m+1, b, m) have
+    m0 >= d - m - 1, so they are closed-form base cases, and the recursion
+    goes on only down the P side L(d-m, m0, n-b, m), with
+    v(LP) = v - m(2d-m+3)/2 + b*m(m+1)/2: b0 keeps it near v, so a
+    homogeneous chain has about d/m levels.  The clamp keeps a system with
+    few points on that chain too.  For m = 2, b0 is floor((2d+1)/3).
 
-    For m = 2 these pairs only go ahead of the list tried before them, so by
-    induction on (d, n) a system that list proves keeps its dim.  For m = 3
-    that list also held (2, b) with 2d/5 < b <= d/2 for v <= -1; without
-    them every system with d, n <= 60 and m0 <= d keeps its outcome and dim."""
-    prescriptions: list[tuple[int, int]] = []
-    h = (d + 1) // 2
-    if m == 2:
-        t = (2 * d + 1) // 3
-        prescriptions += [(2, t), (2, t + 1), (1, d // 2 + 1) if v <= -1 else (1, h)]
-    elif m == 3:
-        prescriptions += [(3, h - 1), (3, h), (3, h + 1)]
+    m = 3 then tries (2, floor((d-1)/2)): L(7, m0 <= 2, 5 or 6, 3) and
+    L(10,4,9,3) need it, and without it 22 systems with d, n <= 60 that
+    descend from them are left unknown.  Only m >= 4 goes on to the first
+    MAX_SPLITS_PER_NODE pairs of the balanced exhaustive ranking; a
+    system with m <= 1 is a base case and is never split."""
+    b0 = (2 * d - m + 3) // (m + 1)
+    pairs = [(m, min(b, n - 1)) for b in (b0, b0 + 1, b0 - 1)]
+    if m == 3:
+        pairs.append((2, min((d - 1) // 2, n - 1)))
+    elif m >= 4:
+        pairs = chain(pairs, islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE))
     seen = set()
-    for k, b in chain(prescriptions, islice(_ranked_splits(d, n), MAX_SPLITS_PER_NODE)):
+    for k, b in pairs:
         if 0 < k < d and 0 < b < n and (k, b) not in seen:
             seen.add((k, b))
             yield k, b

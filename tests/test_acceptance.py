@@ -393,7 +393,10 @@ def test_criterion_9_certifier_soundness():
                     if cert.outcome == Status.INCONCLUSIVE:
                         continue
                     proved += 1
-                    want = -1 if cert.outcome == "EmptyProved" else expected_dim(sys_)
+                    if cert.outcome == Status.SPECIAL_PROVED:
+                        want = cert.dim
+                    else:
+                        want = -1 if cert.outcome == "EmptyProved" else expected_dim(sys_)
                     if oracle_dim(sys_) != want:
                         unsound.append((sys_.as_tuple(), cert.outcome, want))
     elapsed = time.time() - t0

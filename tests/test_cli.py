@@ -333,14 +333,14 @@ def test_an_unread_bad_entry_survives_a_rewrite_and_check_names_it(capsys, tmp_p
 
 
 def test_certify_through_a_cache_names_the_system_asked_for(capsys, tmp_path):
-    # L(3,0,1,2) is cached under its canonical key "3,2,1,0"; it is also the
-    # first subsystem of L(4,0,3,2).  Through a cache written by other runs,
-    # each system prints what a fresh run prints.
+    # L(2,0,1,2) has the canonical key "2,2,0,0"; it is also the first
+    # subsystem of L(4,0,3,2), whose one split is (2, 2).  Through a cache
+    # written by other runs, each system prints what a fresh run prints.
     fresh = {
         argv: run(capsys, "certify", *argv, "--json")
-        for argv in (("3", "0", "1", "2"), ("4", "0", "3", "2"), ("10", "0", "11", "3"))
+        for argv in (("2", "0", "1", "2"), ("4", "0", "3", "2"), ("10", "0", "11", "3"))
     }
-    assert json.loads(fresh["4", "0", "3", "2"][1])["tree"]["subsystems"][0]["system"] == [3, 0, 1, 2]
+    assert json.loads(fresh["4", "0", "3", "2"][1])["tree"]["subsystems"][0]["system"] == [2, 0, 1, 2]
     cache = str(tmp_path / "memo.json")
     for argv in (("4", "0", "3", "2"), ("10", "0", "11", "3")):
         assert run(capsys, "certify", *argv, "--cache", cache)[0] == 0
@@ -435,7 +435,7 @@ def test_certify_budget_exhausted_exits_1_without_traceback():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == "qhplane: error: node budget 3 exhausted at L(5,0,4,3)\n"
+    assert proc.stderr == "qhplane: error: node budget 3 exhausted at L(5,0,3,3)\n"
 
 
 def test_closed_pipe_exits_1_without_traceback():

@@ -100,15 +100,20 @@ def test_certify_examples():
     assert certify(L(5, 0, 6, 2)).dim == 2
     c = certify(L(6, 0, 9, 2))
     assert (c.outcome, c.dim) == ("NonSpecialProved", 0)
-    assert certify(L(4, 0, 5, 2)).outcome == "Inconclusive"
+    c = certify(L(4, 0, 5, 2))
+    assert (c.outcome, c.dim) == ("SpecialProved", 0)
     assert certify(L(10, 0, 11, 3)).outcome == "EmptyProved"
 
 
-def test_certifier_never_proves_table_systems():
+def test_certifier_proves_table_systems_special():
+    # the special table's members: a base case proves each dim, above e
     cf = Certifier()
     for sys_ in (L(4, 0, 5, 2), L(6, 0, 5, 3), L(6, 2, 4, 3), L(8, 6, 4, 3)):
-        assert lookup_special_table(sys_, with_decomposition=False) is not None
-        assert cf.certify(sys_).outcome == "Inconclusive"
+        match = lookup_special_table(sys_, with_decomposition=False)
+        assert match is not None
+        cert = cf.certify(sys_)
+        assert (cert.outcome, cert.dim) == (Status.SPECIAL_PROVED, match.l)
+        assert cert.dim > expected_dim(sys_)
 
 
 def test_certified_dims_match_oracle():
@@ -121,9 +126,12 @@ def test_certified_dims_match_oracle():
                     c = cf.certify(sys_)
                     if c.outcome == Status.INCONCLUSIVE:
                         continue
-                    want = -1 if c.outcome == "EmptyProved" else expected_dim(sys_)
-                    assert c.dim == want
-                    assert measure_dim(sys_).dim == want, sys_
+                    if c.outcome == Status.SPECIAL_PROVED:
+                        assert c.dim > expected_dim(sys_), sys_
+                    else:
+                        want = -1 if c.outcome == "EmptyProved" else expected_dim(sys_)
+                        assert c.dim == want
+                    assert measure_dim(sys_).dim == c.dim, sys_
 
 
 def test_fewer_points_certificates_are_empty():
@@ -393,15 +401,16 @@ def test_check_cache_on_single_entries(tmp_path):
     ],
 )
 def test_tampered_entry_after_the_full_ladder_is_named(tmp_path, key, dim):
-    # perfbench's 62-call ladder leaves 171 entries (2,212 before the k = m
+    # perfbench's 62-call ladder leaves 169 entries (2,212 before the k = m
     # splits went first, 1,448 while the subsystems a rule answers were
-    # saved too, and 384 while m = 3 also tried the (2, b) splits); one bad
-    # entry after all of them is still found and named
+    # saved too, 384 while m = 3 also tried the (2, b) splits, and 171
+    # before one split rule served every m); one bad entry after all of
+    # them is still found and named
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 171 and key not in data["entries"]
+    assert len(data["entries"]) == 169 and key not in data["entries"]
     data["entries"][key] = dim
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -428,12 +437,14 @@ def test_a_bad_entry_is_named_where_the_recursion_reads_it(tmp_path):
 
 
 def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
-    # The 62-call ladder loads 61 files; it checks the 235 entries it reads,
+    # The 62-call ladder loads 61 files; it checks the 213 entries it reads,
     # and writes the bytes json.dumps gives.  While the subsystems a rule
     # answers were saved too, the files held 54,011 entries in all, of which
     # it checked 1,056, and the last was 25,364 bytes (sha256 7f95c501...);
     # while m = 3 also tried the (2, b) splits, it checked 419 and the last
-    # was 6,739 bytes (sha256 9f3d9f93...).
+    # was 6,739 bytes (sha256 9f3d9f93...); before one split rule served
+    # every m, it checked 235 and the last was 2,961 bytes
+    # (sha256 6faf27f8...).
     checked = []
     check_entry = degeneration._check_entry
 
@@ -444,12 +455,12 @@ def test_ladder_checks_only_the_entries_it_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(degeneration, "_check_entry", count)
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 62)
-    assert len(checked) == 235
+    assert len(checked) == 213
     with open(path, "rb") as fh:
         text = fh.read()
-    assert len(text) == 2961 and text == json.dumps(json.loads(text)).encode()
+    assert len(text) == 2932 and text == json.dumps(json.loads(text)).encode()
     assert hashlib.sha256(text).hexdigest() == (
-        "6faf27f85dac3a6e60bd370553edc0763c2d17c4c6c63710d3e451148989cbe8"
+        "d517bc5f08eb6d5bbdeed1b9a765fdc87309e01b3abe28eab866788458de6f07"
     )
 
 
@@ -521,12 +532,12 @@ def test_load_cache_keeps_file_order_and_the_memo(tmp_path):
 
 
 def test_load_cache_accepts_consistent_entries(tmp_path):
-    # e(L(4,0,5,2)) = -1; its proved dimension 0 leaves it Inconclusive.
+    # e(L(4,0,5,2)) = -1; its proved dimension 0 makes it SpecialProved.
     path = _tampered_cache(tmp_path, "4,0,5,2", 0)
     fresh = Certifier()
     fresh.load_cache(path)
     assert fresh.memo["4,0,5,2"] == 0
-    assert fresh.certify(L(4, 0, 5, 2)).outcome == Status.INCONCLUSIVE
+    assert fresh.certify(L(4, 0, 5, 2)).outcome == Status.SPECIAL_PROVED
     assert fresh.certify(L(7, 0, 8, 3)).outcome == Status.EMPTY_PROVED
     assert fresh.nodes == 0
 
@@ -548,11 +559,10 @@ def test_cache_hit_rederives_its_dim(tmp_path):
 
 def test_budget_exceeded():
     cf = Certifier(budget=3)
-    # the fourth node: L(12,0,13,3) first splits (3, 5), whose LP L(9,0,8,3)
-    # splits (3, 4); that split's LP L(6,0,4,3) is the third, and its hatLP
-    # L(5,0,4,3) the fourth.  L(3,0,2,3), the LP of L(6,0,4,3)'s first split
-    # and the fourth node while base cases were nodes, is a base case.
-    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(5,0,4,3\)$"):
+    # the fourth node: L(12,0,13,3) first splits (3, 6), whose LP L(9,0,7,3)
+    # splits (3, 4); that split's LP L(6,0,3,3) is the third, proved by the
+    # split (3, 2) into base cases, and its hatLP L(5,0,3,3) the fourth.
+    with pytest.raises(BudgetExceeded, match=r"^node budget 3 exhausted at L\(5,0,3,3\)$"):
         cf.certify(L(12, 0, 13, 3))
 
 
@@ -587,7 +597,7 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
     loaded.load_cache(path)
     cert = loaded.certify(L(4, 0, 5, 2))
     assert cert.system == (4, 0, 5, 2)
-    assert (cert.outcome, cert.dim) == (Status.INCONCLUSIVE, 0)
+    assert (cert.outcome, cert.dim) == (Status.SPECIAL_PROVED, 0)
     # a loaded key is an ordinary memo hit: the certificate a fresh run gives
     assert cert.to_dict() == Certifier().certify(L(4, 0, 5, 2)).to_dict()
 
@@ -595,15 +605,16 @@ def test_cached_certificate_holds_its_system_tuple(tmp_path):
 @pytest.mark.parametrize(
     "system, nodes",
     [
-        ((30, 0, 83, 3), 38),
-        ((30, 0, 84, 3), 39),
+        ((30, 0, 83, 3), 36),
+        ((30, 0, 84, 3), 37),
         ((30, 0, 150, 2), 110),
-        ((50, 0, 309, 3), 71),
-        ((120, 0, 1600, 3), 190),
+        ((50, 0, 309, 3), 69),
+        ((120, 0, 1600, 3), 188),
     ],
     # each id keeps the count pinned while every subsystem a rule answers
     # was a node too, so each case keeps its name; the m = 3 counts were
-    # 41, 42, 99 and 508 while m = 3 also tried the (2, b) splits
+    # 41, 42, 99 and 508 while m = 3 also tried the (2, b) splits, and
+    # 38, 39, 71 and 190 before one split rule served every m
     ids=["system0-246", "system1-247", "system2-272", "system3-506", "system4-1837"],
 )
 def test_node_counts_are_pinned(system, nodes):
@@ -669,10 +680,14 @@ def test_a_cache_holding_rule_answered_entries_still_loads(tmp_path, monkeypatch
     systems = [tuple(map(int, key.split(","))) for key in entries]
     base_cases = [t for t in systems if classifier.base_case_dim(*t) is not None]
     assert len(entries) == 38 and len(base_cases) == 31
-    # today's memo for the same target is a part of that file, with its dims
+    # today's memo for the same target holds 5 systems: the target and
+    # "5,0,3,3", with the file's dims, and 3 that the file lacks: the
+    # target's split is (3, 6), and the file's route went through (3, 5)
     fresh = Certifier()
     fresh.certify(L(12, 0, 13, 3))
-    assert fresh.memo.items() <= entries.items() and len(fresh.memo) == 6
+    new = fresh.memo.keys() - entries.keys()
+    assert len(fresh.memo) == 5 and sorted(new) == ["6,0,3,3", "8,0,7,3", "9,0,7,3"]
+    assert all(entries[key] == dim for key, dim in fresh.memo.items() if key not in new)
     checked = []
     check_entry = degeneration._check_entry
     monkeypatch.setattr(
@@ -682,29 +697,32 @@ def test_a_cache_holding_rule_answered_entries_still_loads(tmp_path, monkeypatch
     assert loaded.load_cache(str(path)) == 38
     assert not checked
     # every system of the file answers as a fresh run does, from the file
-    # alone, and each entry is checked once, on its first read
+    # and the 3 nodes it lacks, and each entry is checked once, on its first
+    # read
     for system in systems:
         assert loaded.certify(system).to_dict() == Certifier().certify(system).to_dict()
-    assert loaded.nodes == 0 and sorted(checked) == sorted(entries)
+    assert loaded.nodes == 3 and loaded.memo.keys() - entries.keys() == new
+    assert sorted(checked) == sorted(entries)
     # a tampered entry of a base case is named where the recursion reads it:
-    # "12,9,5,3" is the LF of the split that proves the target
-    path.write_text(_RULED_ENTRIES_CACHE.replace('"12,9,5,3": 15', '"12,9,5,3": -2'))
+    # "9,6,4,3" is the LF of the split that proves L(9,0,7,3), the LP of the
+    # target's split
+    path.write_text(_RULED_ENTRIES_CACHE.replace('"9,6,4,3": 9', '"9,6,4,3": -2'))
     tampered = Certifier()
     tampered.load_cache(str(path))
     with pytest.raises(ValueError) as exc:
         tampered.certify(L(12, 0, 13, 3))
-    assert str(exc.value).startswith(f"{path}: untrusted cache entry '12,9,5,3': ")
+    assert str(exc.value).startswith(f"{path}: untrusted cache entry '9,6,4,3': ")
 
 
 @pytest.mark.parametrize(
     "d, m, n, outcome, dim, nodes",
     [
-        (1000, 3, 83583, Status.NON_SPECIAL_PROVED, 2, 1655),
-        (1000, 3, 83584, Status.EMPTY_PROVED, -1, 1655),
+        (1000, 3, 83583, Status.NON_SPECIAL_PROVED, 2, 1652),
+        (1000, 3, 83584, Status.EMPTY_PROVED, -1, 1653),
         (1000, 2, 167166, Status.NON_SPECIAL_PROVED, 2, 1328),
         (1000, 2, 167167, Status.EMPTY_PROVED, -1, 1329),
-        (2000, 3, 333833, Status.NON_SPECIAL_PROVED, 2, 3321),
-        (2000, 3, 333834, Status.EMPTY_PROVED, -1, 3321),
+        (2000, 3, 333833, Status.NON_SPECIAL_PROVED, 2, 3318),
+        (2000, 3, 333834, Status.EMPTY_PROVED, -1, 3319),
     ],
     ids=["3-83583", "3-83584", "2-167166", "2-167167", "3-333833", "3-333834"],
 )
@@ -714,7 +732,9 @@ def test_boundary_systems_certify_within_the_default_budget(d, m, n, outcome, di
     # boundary system no longer takes a level of its own, and each level
     # takes one frame.  The m = 3 systems at d = 1000 took 28,546 and 28,764
     # nodes, and those at d = 2000 exhausted the default budget, while m = 3
-    # also tried the (2, b) splits.
+    # also tried the (2, b) splits; before one split rule served every m,
+    # the m = 3 counts were 1,655 and 1,655 at d = 1000 and 3,321 and 3,321
+    # at d = 2000.
     cf = Certifier()
     cert = cf.certify(L(d, 0, n, m), tree=False)
     assert (cert.outcome, cert.dim) == (outcome, dim)
@@ -792,42 +812,33 @@ def test_lazy_split_ranking_matches_sorted_list():
         assert got == _ranked_reference(d, n), (d, n)
 
 
-def _prescriptions_before_k_m_splits(d, n, m, v):
-    # the paper-guided head of _candidate_splits as it was before the k = m
-    # splits went first, kept within range, less the (2, b) splits m = 3
-    # tried for v <= -1, which are no longer tried; the ranked tail followed
-    # it
-    prescriptions = []
-    if m == 2:
-        prescriptions.append((1, d // 2 + 1) if v <= -1 else (1, (d + 1) // 2))
-    elif m == 3:
-        h = (d + 1) // 2
-        prescriptions += [(3, h), (3, h + 1)]
-    return [(k, b) for k, b in prescriptions if 0 < k < d and 0 < b < n]
-
-
 def test_candidates_contain_the_list_before_the_k_m_splits(monkeypatch):
-    # Every node still tries every pair it tried before the k = m splits
-    # went first, other than the (2, b) splits m = 3 tried for v <= -1.  So
-    # by induction on (d, n) no m = 2 proof is lost: a proved dim stays
-    # proved, an unknown one can only become proved.  The ranked tail is the
-    # reference list, which _ranked_splits matches on this box
-    # (test_lazy_split_ranking_matches_sorted_list).
+    # For m >= 4 the k = m splits only go ahead of the ranked list that was
+    # tried before them, so by induction on (d, n) no proof is lost: a
+    # proved dim stays proved, an unknown one can only become proved.  The
+    # ranked tail is the reference list, which _ranked_splits matches on
+    # this box (test_lazy_split_ranking_matches_sorted_list).  For m <= 3 no
+    # node reads that list: it tries at most four pairs.
     ranked = {(d, n): _ranked_reference(d, n) for d in range(41) for n in range(41)}
-    monkeypatch.setattr(degeneration, "_ranked_splits", lambda d, n: iter(ranked[d, n]))
-    # The candidates read v only through v <= -1, so v = -1 and v = 0 stand
-    # for every system on (d, n, m).
-    for m in (2, 3):
+    calls = []
+
+    def ranked_splits(d, n):
+        calls.append((d, n))
+        return iter(ranked[d, n])
+
+    monkeypatch.setattr(degeneration, "_ranked_splits", ranked_splits)
+    for m in range(8):
         for d in range(41):
             for n in range(41):
-                for v in (-1, 0):
-                    got = list(degeneration._candidate_splits(d, n, m, v))
-                    pairs = set(got)
-                    assert len(pairs) == len(got)
-                    assert pairs.issuperset(ranked[d, n]), (d, n, m, v)
-                    assert pairs.issuperset(_prescriptions_before_k_m_splits(d, n, m, v)), (
-                        d, n, m, v,
-                    )
+                calls.clear()
+                got = list(degeneration._candidate_splits(d, n, m))
+                pairs = set(got)
+                assert len(pairs) == len(got)
+                assert all(0 < k < d and 0 < b < n for k, b in got), (d, n, m)
+                if m >= 4:
+                    assert pairs.issuperset(ranked[d, n]), (d, n, m)
+                else:
+                    assert len(pairs) <= 4 and not calls, (d, n, m)
 
 
 @pytest.mark.parametrize(
@@ -940,15 +951,17 @@ def test_ladder_cache_matches_recorded_contents(tmp_path):
     # cases and 204 systems whose boundary system is empty.  Re-recorded
     # when m = 3 stopped trying the (2, b) splits: 131 entries
     # (sha256 3f31e831...) became 87, and each of the 86 keys in both files
-    # has the same dim in both.
+    # has the same dim in both.  Re-recorded when one split rule began to
+    # serve every m: 87 entries (sha256 5c25b2b6...) became 85, the 87 less
+    # "6,0,3,3" and "6,0,7,3", each with the same dim.
     path = str(tmp_path / "cache.json")
     _ladder_cache(path, 16)
     with open(path) as fh:
         data = json.load(fh)
-    assert len(data["entries"]) == 87
+    assert len(data["entries"]) == 85
     canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canon).hexdigest() == (
-        "5c25b2b68599fd0e7724a02aac7df1d035c7f2809d0944d787ab5b6958e8656c"
+        "4d937025d390591c7d89c02017cd5c5d3ff5fd164303880f205bc627afe954d5"
     )
 
 
@@ -988,3 +1001,29 @@ def test_version_1_cache_is_ignored_and_replaced(tmp_path):
         assert data["version"] == degeneration.CACHE_VERSION == 3
         assert data["entries"]["10,0,5,3"] == 35
         assert len(data["entries"]) == len(cf.memo)
+
+
+#: the one m <= 3 system with d, n <= 60 whose dim no split proves; with its
+#: 1 + 7 points it waits for a Cremona base case (quadratic transformations
+#: on at most nine points)
+_UNPROVED_M_LE_3 = {(8, 2, 7, 3)}
+
+
+def test_certifier_proves_the_classifier_dims_for_m_2_and_3():
+    # Every m = 2, 3 system with d, n <= 40 and m0 <= d (70,602 of them)
+    # through one Certifier: the recursion proves a dim, and it is the one
+    # classifier.dimension answers by the m <= 3 theorem, so the theorem's
+    # answers agree with an independent proof path.
+    cf = Certifier(budget=10**7)
+    cells = [
+        (d, m0, n, m) for d in range(41) for m0 in range(d + 1) for n in range(41) for m in (2, 3)
+    ]
+    assert len(cells) == 70602
+    unproved = set()
+    for cell in cells:
+        cert = cf.certify(cell, tree=False)
+        if cert.dim is None:
+            unproved.add(cell)
+            continue
+        assert cert.dim == classifier.dimension(L(*cell)).dim, cell
+    assert unproved == _UNPROVED_M_LE_3

@@ -37,6 +37,16 @@ splits for v <= -1 and kept only the k = 3 splits ahead of the ranked list
 (211dc621... before): the 78 rows that changed are m = 3 rows, proved by a
 split before and after with the same system, outcome and dim, and differ
 only in the split that proves them and its subsystems.
+The three certifier digests were re-recorded together when a proved dim
+above e began to read SpecialProved rather than Inconclusive, and one
+split rule, the k = m splits with b clamped below n, began to serve every
+m (31669f44..., 15f1d230... and a601c2fc... before).  With SpecialProved
+read back as Inconclusive, the "certifier d<=20 m<=3" and box-A rows hash
+to the old digests: 270 and 268 rows changed, only in that word.  Of the
+15,876 tree rows 2,770 changed: 345 only in that word, in the row or in a
+subsystem summary; 2,424 are proved by a split before and after, with the
+same system, outcome and dim, and differ only in the split and its
+subsystems; and the one Inconclusive row, L(8,2,7,3), lists other splits.
 The irreducibility digest was recorded before the Cremona reduction lost
 its step cap and its state strings: it pins every class's verdict, pivot
 sequence, failure reasons and blocking class.
@@ -183,19 +193,19 @@ GOLDEN = [
     (
         "certifier d<=20 m<=3",
         certifier_rows,
-        "31669f44ae67fe894c22298d2853f2fcaa4992867f855960376dba6882772134",
+        "326614667f101a8409cc59fb4d1294d9f3092c7ea44ec55f4b2471aa06fc0918",
         _histogram_of(4),
     ),
     (
         "certifier box A m=4..7 d,n<=16",
         certifier_box_a_rows,
-        "15f1d230f4eb37d56c0b443d4853b99c7b1b8086a74e61e99f31f8a775a1751a",
+        "d06686ddb03ea548d4ace545bbca8af9b23576fcff94ad9f421a722d8feae322",
         _histogram_of(4),
     ),
     (
         "certifier trees d<=20 m<=3",
         certifier_tree_rows,
-        "a601c2fc0b1343793ef31814b177346b93a7a02405f96c77f39a00607071eefe",
+        "af2481afd374d684168509df04fc1bf0da487a001dd570539deb1757d2d5e28f",
         _histogram_of("outcome"),
     ),
     (
